@@ -8,31 +8,31 @@ the PR's acceptance bar end to end:
 1. every session connects, **zero** frame decode errors anywhere;
 2. the broker shuts down cleanly (complete trace, ``sim_end`` emitted);
 3. the Prometheus scrape is non-empty while the soak is running;
-4. ``analyze_trace`` over the broker's emitted schema-v2 trace
+4. the trace analyzer over the broker's emitted schema-v2 trace
    reproduces the broker's live registry counters **exactly** —
    created messages, intended pairs, direct forwards, and total /
    intended / false deliveries.
 
 With ``--workers N`` (N > 1) the soak runs against the multi-process
-SO_REUSEPORT fleet instead: the gate then checks that ``analyze_trace``
+SO_REUSEPORT fleet instead: the gate then checks that the analyzer
 over the deterministically *merged* shard trace equals the **sum** of
 the workers' parity counters — the fleet-wide version of the same
 online/offline contract.
 
 With ``--live`` a :class:`repro.obs.live.LiveTailer` additionally
-follows the growing trace shard(s) *while the soak runs* — the online
-observability path — with periodic ``verify_parity`` checkpoints, and
-at shutdown the tailer's rolling counters must exactly equal the
-offline analyzer's totals (check 5).
+follows the growing trace shard(s) *while the soak runs* through
+:func:`repro.obs.live.follow_merged_traces`, and at shutdown its totals
+must exactly equal the offline analyzer's (check 5).  The tailer runs
+the analyzer's own counting code, so what this exercises is the follow
+reader under real load: partial lines, idle shards, the merge order.
 
 Usage::
 
     PYTHONPATH=src python scripts/check_serve_parity.py              # quick
     PYTHONPATH=src python scripts/check_serve_parity.py --sessions 1000 \
         --duration 30                                                # soak
-    PYTHONPATH=src python scripts/check_serve_parity.py --workers 2  # fleet
-    PYTHONPATH=src python scripts/check_serve_parity.py --workers 2 \
-        --live                                          # fleet + live tailer
+    PYTHONPATH=src python scripts/check_serve_parity.py --sessions 1000 \
+        --duration 20 --workers 2 --live            # fleet + live tailer
 
 Exit code 0 = all checks green.
 """
@@ -44,8 +44,9 @@ import tempfile
 import threading
 from pathlib import Path
 
-from repro.obs.analyze import analyze_trace
+from repro.obs.analyze import PARITY_KEYS, TraceAnalyzer
 from repro.obs.live import LiveTailer, follow_merged_traces
+from repro.obs.recorder import read_trace_iter
 from repro.obs.registry import MetricsRegistry
 from repro.serve import (
     BrokerFleet,
@@ -63,16 +64,12 @@ class LiveTail:
     feeding the tailer in deterministic merge order.  The thread ends
     on its own once every shard has emitted ``sim_end`` (i.e. shortly
     after ``broker.stop()``); ``finish()`` joins it and surfaces any
-    exception — including :class:`repro.obs.live.ParityError` from the
-    periodic checkpoints — to the caller.
+    exception to the caller.
     """
 
-    def __init__(self, shard_paths, checkpoint_every: int = 2000):
+    def __init__(self, shard_paths):
         self.shard_paths = [str(p) for p in shard_paths]
-        self.tailer = LiveTailer(
-            source_paths=self.shard_paths,
-            checkpoint_every=checkpoint_every,
-        )
+        self.tailer = LiveTailer()
         self.error = None
         self._stop = threading.Event()
         self._thread = threading.Thread(
@@ -88,8 +85,8 @@ class LiveTail:
                 poll_interval_s=0.05,
                 should_stop=self._stop.is_set,
             )
-            for shard, event in pairs:
-                self.tailer.feed(event, shard=shard)
+            for _shard, event in pairs:
+                self.tailer.feed(event)
         except Exception as error:  # surfaced via finish()
             self.error = error
 
@@ -107,10 +104,6 @@ class LiveTail:
             )
         if self.error is not None:
             raise self.error
-        # Final explicit checkpoint over the now-quiescent shards, so
-        # even a soak too short for the periodic threshold still gets
-        # at least one full prefix re-read + comparison.
-        self.tailer.verify_parity()
 
 
 async def scrape(host: str, port: int) -> str:
@@ -162,7 +155,7 @@ async def soak(
     summary = await broker.stop()
     if tail is not None:
         # Joins once every shard's sim_end has been consumed; raises on
-        # a hung shard or any mid-soak verify_parity checkpoint break.
+        # a hung shard or a follower error.
         await asyncio.get_running_loop().run_in_executor(None, tail.finish)
     if workers > 1:
         parity = summary["parity"]  # sum of the workers' counters
@@ -216,43 +209,26 @@ def main(argv=None) -> int:
         if report.messages_published == 0:
             failures.append("no messages published (soak misconfigured)")
 
-        analysis = analyze_trace(trace_path)
-        offline = {
-            "messages_created": analysis.messages["created"],
-            "intended_pairs": analysis.messages["intended_pairs"],
-            "forwards_direct": analysis.forwards["direct"],
-            "deliveries_total": analysis.deliveries["total"],
-            "deliveries_intended": analysis.deliveries["intended"],
-            "deliveries_false": analysis.deliveries["false"],
-        }
-        for key, live in sorted(parity.items()):
-            status = "==" if offline[key] == live else "!="
-            print(f"parity {key}: live {live} {status} offline {offline[key]}")
-            if offline[key] != live:
-                failures.append(
-                    f"parity break on {key}: live {live}, "
-                    f"offline {offline[key]}"
-                )
-
+        analyzer = TraceAnalyzer()
+        for event in read_trace_iter(trace_path):
+            analyzer.feed(event)
+        offline = analyzer.parity_counters()
+        compared = [("dispatcher", parity)]
         if tail is not None:
-            tailed = tail.tailer.parity_counters()
-            checks = tail.tailer.parity_checks
-            print(f"live tailer: {tail.tailer.seen_events} events tailed, "
-                  f"{checks} mid-soak parity checkpoints")
-            for key, value in sorted(tailed.items()):
+            print(f"live tailer: {tail.tailer.totals()['events']} "
+                  f"events tailed")
+            compared.append(("tailer", tail.tailer.parity_counters()))
+        for source, counters in compared:
+            for key in PARITY_KEYS:
+                value = counters[key]
                 status = "==" if offline[key] == value else "!="
-                print(f"tailer {key}: live {value} {status} "
+                print(f"{source} {key}: {value} {status} "
                       f"offline {offline[key]}")
                 if offline[key] != value:
                     failures.append(
-                        f"live tailer break on {key}: tailed {value}, "
+                        f"{source} parity break on {key}: {value}, "
                         f"offline {offline[key]}"
                     )
-            if checks == 0:
-                failures.append(
-                    "live tailer ran zero parity checkpoints "
-                    "(soak too short for --live gate)"
-                )
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -219,10 +219,12 @@ def _cmd_passive(args, trace: ContactTrace) -> int:
         ["nodes seen", len(report.contacts_by_node)],
         ["busiest node contacts", busiest],
         ["shards", args.shards or 1],
-        ["replay wall-clock (s)", round(elapsed, 2)],
-        ["contacts/s", round(report.num_contacts / max(elapsed, 1e-9))],
     ]
     print(format_table(["metric", "value"], rows, title="Passive replay"))
+    # Timings go below the table: padding the value column to their
+    # width would make the deterministic rows differ between runs.
+    print(f"replay wall-clock (s): {elapsed:.2f}")
+    print(f"contacts/s: {report.num_contacts / max(elapsed, 1e-9):,.0f}")
     return 0
 
 
@@ -616,35 +618,32 @@ def _cmd_load(args) -> int:
 
 
 def _live_source(args):
-    """Build the (shard, event) stream a watch/dash session consumes."""
+    """Build the event stream a watch/dash session consumes."""
     from .obs.live import follow_merged_traces, replay_trace_iter
 
     if args.replay is not None:
         if len(args.traces) != 1:
             raise SystemExit("--replay takes exactly one trace file")
-        return (
-            (0, event)
-            for event in replay_trace_iter(args.traces[0], speed=args.replay)
+        return replay_trace_iter(args.traces[0], speed=args.replay)
+    return (
+        event
+        for _shard, event in follow_merged_traces(
+            args.traces, follow=args.follow
         )
-    return follow_merged_traces(args.traces, follow=args.follow)
+    )
 
 
 def _cmd_watch(args) -> int:
     import time
 
-    from .obs.live import LiveTailer, ParityError, format_watch_table
+    from .obs.live import LiveTailer, format_watch_table
 
-    tailer = LiveTailer(
-        window_s=args.window,
-        source_paths=args.traces,
-        checkpoint_every=args.parity_every,
-    )
-    source = _live_source(args)
+    tailer = LiveTailer(window_s=args.window)
     refreshing = not args.once and sys.stdout.isatty()
     last_render = 0.0
     try:
-        for shard, event in source:
-            tailer.feed(event, shard=shard)
+        for event in _live_source(args):
+            tailer.feed(event)
             now = time.monotonic()
             if refreshing and now - last_render >= args.interval:
                 print(
@@ -654,17 +653,6 @@ def _cmd_watch(args) -> int:
                 last_render = now
     except KeyboardInterrupt:
         pass
-    except ParityError as error:
-        print(format_watch_table(tailer.snapshot()))
-        print(f"\nPARITY FAILURE: {error}", file=sys.stderr)
-        return 1
-    if args.verify and args.replay is None:
-        try:
-            tailer.verify_parity()
-        except ParityError as error:
-            print(format_watch_table(tailer.snapshot()))
-            print(f"\nPARITY FAILURE: {error}", file=sys.stderr)
-            return 1
     print(format_watch_table(tailer.snapshot()))
     return 0
 
@@ -676,12 +664,7 @@ def _cmd_dash(args) -> int:
     from .obs.live import LiveTailer
     from .obs.registry import MetricsRegistry
 
-    tailer = LiveTailer(
-        registry=MetricsRegistry(),
-        window_s=args.window,
-        source_paths=args.traces,
-        checkpoint_every=args.parity_every,
-    )
+    tailer = LiveTailer(registry=MetricsRegistry(), window_s=args.window)
     dash = DashboardServer(tailer, host=args.host, port=args.port).start()
     print(f"dashboard: {dash.url}", file=sys.stderr)
     feeder = dash.feed_from(_live_source(args))
@@ -724,11 +707,6 @@ def _add_live_source_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--window", type=float, default=300.0,
         help="rolling-window horizon in trace seconds (default: 300)",
-    )
-    parser.add_argument(
-        "--parity-every", type=int, default=0, metavar="N",
-        help="re-run the offline analyzer over the consumed prefix "
-             "every N events and fail loudly on divergence (0 = off)",
     )
 
 
@@ -918,11 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument(
         "--once", action="store_true",
         help="consume the stream silently, print one final table",
-    )
-    watch.add_argument(
-        "--verify", action="store_true",
-        help="after the stream ends, re-run the offline analyzer over "
-             "everything consumed and fail on any parity mismatch",
     )
     watch.set_defaults(func=_cmd_watch)
 

@@ -20,11 +20,11 @@ replayable fingerprint for golden-trace regression tests
 
 Typical use::
 
+    from repro.api import run
     from repro.obs import Observability
-    from repro.experiments import run_experiment
 
     obs = Observability.enabled()
-    result = run_experiment(trace, "B-SUB", config, obs=obs)
+    result = run(trace, obs=obs)  # B-SUB, the paper's default settings
     obs.tracer.write_jsonl("run.trace.jsonl")
     obs.registry.write_json("run.metrics.json")
     print(obs.tracer.counts())
@@ -35,7 +35,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Optional
 
-from .analyze import ANALYSIS_VERSION, TraceAnalysis, analyze_trace
+from .analyze import (
+    ANALYSIS_VERSION,
+    PARITY_KEYS,
+    TraceAnalysis,
+    TraceAnalyzer,
+    analyze_trace,
+)
 from .dash import DashboardServer
 from .events import EVENT_TYPES, TRACE_SCHEMA_VERSION, TraceEvent
 from .feedback import (
@@ -52,13 +58,11 @@ from .lineage import (
     MessageLineage,
 )
 from .live import (
-    PARITY_KEYS,
     LiveTailer,
-    ParityError,
     RollingWindow,
     follow_merged_traces,
     format_watch_table,
-    offline_parity_counters,
+    nearest_rank,
     replay_trace_iter,
 )
 from .recorder import (
@@ -94,16 +98,16 @@ __all__ = [
     "MessageLineage",
     "LineageBuilder",
     "TraceAnalysis",
+    "TraceAnalyzer",
     "analyze_trace",
     "ANALYSIS_VERSION",
     "PARITY_KEYS",
-    "ParityError",
     "RollingWindow",
     "LiveTailer",
     "DashboardServer",
     "follow_merged_traces",
     "format_watch_table",
-    "offline_parity_counters",
+    "nearest_rank",
     "replay_trace_iter",
     "AttributionFeedback",
     "feedback_from_analysis",

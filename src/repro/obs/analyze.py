@@ -28,6 +28,13 @@ by cause:
 
 The analysis is a pure function of the trace bytes: same trace file,
 same ``analysis.json``, which is what the CI drift check pins.
+
+:class:`TraceAnalyzer` is the incremental pass behind it.  Every
+event-derivable total is counted when its event is fed, so
+:meth:`TraceAnalyzer.totals` is exact at any event prefix; the live
+tailer (:class:`~repro.obs.live.LiveTailer`) is this same analyzer fed
+from a growing trace, so online and offline totals agree by
+construction.
 """
 
 from __future__ import annotations
@@ -41,10 +48,28 @@ from .events import TraceEvent
 from .lineage import DeliveryLeg, LineageBuilder, MessageLineage
 from .recorder import read_trace_iter, read_trace_meta
 
-__all__ = ["TraceAnalysis", "analyze_trace", "ANALYSIS_VERSION"]
+__all__ = [
+    "PARITY_KEYS",
+    "TraceAnalysis",
+    "TraceAnalyzer",
+    "analyze_trace",
+    "ANALYSIS_VERSION",
+]
 
 #: Version of the analysis.json document layout.
 ANALYSIS_VERSION = 1
+
+#: The six totals a broker's dispatcher counts and the analyzer must
+#: reproduce exactly from its trace (:meth:`TraceAnalyzer.parity_counters`,
+#: ``BrokerCore.parity_counters``).
+PARITY_KEYS = (
+    "messages_created",
+    "intended_pairs",
+    "forwards_direct",
+    "deliveries_total",
+    "deliveries_intended",
+    "deliveries_false",
+)
 
 #: Number of per-broker rows / slowest-delivery rows kept by default.
 DEFAULT_TOP_K = 10
@@ -116,19 +141,38 @@ class TraceAnalysis:
             fh.write(self.to_json())
 
 
-class _Analyzer:
-    """The streaming aggregation pass behind :func:`analyze_trace`."""
+class TraceAnalyzer:
+    """The incremental aggregation pass behind :func:`analyze_trace`.
 
-    def __init__(self, top_k: int):
+    Feed it events in stream order.  Every event-derivable total —
+    messages, intended pairs, forwards by kind, injection matches,
+    delivery classes and causes, the four attribution causes — is
+    counted at :meth:`feed` time, so :meth:`totals` and
+    :meth:`parity_counters` are exact at any event prefix and never
+    disturb the stream.  Lineage-derived aggregates (delivery outcomes
+    per message, the latency decomposition, per-broker dwell, the
+    slowest deliveries) are folded in as the
+    :class:`~repro.obs.lineage.LineageBuilder` finalises each message;
+    :meth:`result` flushes the rest and assembles the
+    :class:`TraceAnalysis`.
+    """
+
+    def __init__(self, top_k: int = DEFAULT_TOP_K):
+        if top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {top_k}")
         self.top_k = top_k
-        self.builder = LineageBuilder(on_finalized=self._absorb)
+        self.builder = LineageBuilder(
+            on_finalized=self._absorb, on_delivery=self._on_delivery
+        )
+        self.events = 0
         self.event_counts: Dict[str, int] = {}
         # Merge/decay evidence, maintained per node as events stream.
         self._a_merges: Dict[int, int] = {}
         self._m_merges: Dict[int, int] = {}
         self._last_decay: Dict[int, float] = {}
         self._brokers: Dict[int, _BrokerAccount] = {}
-        # Message-level aggregates folded in at finalisation.
+        # Totals counted at feed time; the per-message outcomes
+        # (fully/partially/undelivered, expired, open) at finalisation.
         self.messages_created = 0
         self.intended_pairs = 0
         self.with_intended = 0
@@ -164,6 +208,8 @@ class _Analyzer:
     # -- streaming ----------------------------------------------------------
 
     def feed(self, event: TraceEvent) -> None:
+        """Absorb one event (events must arrive in stream order)."""
+        self.events += 1
         self.event_counts[event.type] = (
             self.event_counts.get(event.type, 0) + 1
         )
@@ -183,9 +229,26 @@ class _Analyzer:
                 self.injection_match[match] = (
                     self.injection_match.get(match, 0) + 1
                 )
+                if match == "stale":
+                    self.attribution["genuine_but_stale"] += 1
                 self._broker(int(fields["dst"])).injections_received += 1
             elif kind == "relay":
                 self._broker(int(fields["src"])).relay_forwards += 1
+        elif type_ == "delivery":
+            self.deliveries_total += 1
+            cause = fields.get("cause") or "legacy"
+            self.delivery_causes[cause] = (
+                self.delivery_causes.get(cause, 0) + 1
+            )
+            if bool(fields["intended"]):
+                self.deliveries_intended += 1
+            else:
+                self.deliveries_false += 1
+                # "direct" — and the only unintended-delivery mechanism
+                # schema-1 traces had, so "legacy" lands there too.
+                self.attribution[
+                    "producer_self" if cause == "self" else "direct_bf_fp"
+                ] += 1
         elif type_ == "a_merge":
             node = int(fields["node"])
             self._a_merges[node] = self._a_merges.get(node, 0) + 1
@@ -219,116 +282,59 @@ class _Analyzer:
             account = self._brokers[node] = _BrokerAccount()
         return account
 
-    # -- lineage finalisation -----------------------------------------------
+    def _on_delivery(self, lineage: MessageLineage, leg: DeliveryLeg) -> None:
+        """Keep each intended delivery's delay for :meth:`result`.
 
-    def _absorb(self, lineage: MessageLineage) -> None:
-        if lineage.closed_by == "expired":
-            self.expired += 1
-        else:
-            self.open_at_end += 1
-        intended = lineage.num_intended
-        if intended:
-            delivered = lineage.num_intended_delivered
-            if delivered >= intended:
-                self.fully_delivered += 1
-            elif delivered > 0:
-                self.partially_delivered += 1
-            else:
-                self.undelivered += 1
-        for leg in lineage.deliveries:
-            self._absorb_delivery(lineage, leg)
+        Runs as the builder absorbs each delivery event; the live
+        tailer overrides it to feed bounded rolling windows instead.
+        """
+        if leg.intended and leg.delay_s is not None:
+            self.intended_delays.append(leg.delay_s)
 
-    def _absorb_delivery(
-        self, lineage: MessageLineage, leg: DeliveryLeg
-    ) -> None:
-        self.deliveries_total += 1
-        cause = leg.cause or "legacy"
-        self.delivery_causes[cause] = self.delivery_causes.get(cause, 0) + 1
-        if leg.intended:
-            self.deliveries_intended += 1
-            if leg.delay_s is not None:
-                self.intended_delays.append(leg.delay_s)
-        else:
-            self.deliveries_false += 1
-            if cause == "self":
-                self.attribution["producer_self"] += 1
-            else:
-                # "direct" — and the only unintended-delivery mechanism
-                # schema-1 traces had, so "legacy" lands here too.
-                self.attribution["direct_bf_fp"] += 1
-        decomposition = leg.decomposition
-        if (
-            decomposition is not None
-            and decomposition.producer_wait_s is not None
-        ):
-            self.decomposed += 1
-            self.producer_wait_sum += decomposition.producer_wait_s
-            self.carry_sum += decomposition.carry_s
-            self.final_hop_sum += decomposition.final_hop_s
-            if leg.delay_s is not None:
-                residual = abs(
-                    leg.delay_s
-                    - (
-                        decomposition.producer_wait_s
-                        + decomposition.carry_s
-                        + decomposition.final_hop_s
-                    )
-                )
-                self.max_residual = max(self.max_residual, residual)
-            for node, dwell in decomposition.dwells:
-                account = self._broker(node)
-                account.dwell_s += dwell
-                account.deliveries_carried += 1
-        if leg.delay_s is not None:
-            record = {
-                "msg": lineage.msg,
-                "node": leg.node,
-                "delay_s": leg.delay_s,
-                "intended": leg.intended,
-                "chain": leg.chain_label(),
-                "hops": len(leg.chain),
-                "producer_wait_s": (
-                    decomposition.producer_wait_s if decomposition else None
-                ),
-                "carry_s": decomposition.carry_s if decomposition else None,
-                "final_hop_s": (
-                    decomposition.final_hop_s if decomposition else None
-                ),
-            }
-            entry = (leg.delay_s, -lineage.msg, -leg.node, record)
-            if len(self._slowest) < self.top_k:
-                heapq.heappush(self._slowest, entry)
-            elif entry > self._slowest[0]:
-                heapq.heapreplace(self._slowest, entry)
+    # -- running views ------------------------------------------------------
 
-    # -- result assembly ----------------------------------------------------
+    def totals(self) -> Dict[str, object]:
+        """Exact running totals over the events fed so far.
 
-    def result(self, trace_schema: int) -> TraceAnalysis:
-        self.builder.flush()
-        delays = sorted(self.intended_delays)
-        if delays:
-            delay_mean = sum(delays) / len(delays)
-            mid = len(delays) // 2
-            delay_median = (
-                delays[mid]
-                if len(delays) % 2
-                else (delays[mid - 1] + delays[mid]) / 2.0
-            )
-        else:
-            delay_mean = delay_median = None
-        injections_total = self.forwards.get("inject", 0)
-        stale = self.injection_match.get("stale", 0)
-        genuine = self.injection_match.get("genuine", 0)
-        legacy = self.injection_match.get("legacy", 0)
-        self.attribution["genuine_but_stale"] = stale
-        attribution: Dict[str, object] = dict(self.attribution)
-        attribution["false_injections_attributed"] = self.attribution[
-            "relay_filter_fp"
-        ]
-        attribution["false_injection_coverage"] = (
-            1.0 if self.false_injections else None
-        )
-        brokers = [
+        Valid at any event prefix: :func:`analyze_trace` over the same
+        prefix reports the same counts.
+        """
+        intended = self.intended_pairs
+        return {
+            "events": self.events,
+            "messages_created": self.messages_created,
+            "intended_pairs": intended,
+            "forwards": dict(sorted(self.forwards.items())),
+            "deliveries": {
+                "total": self.deliveries_total,
+                "intended": self.deliveries_intended,
+                "false": self.deliveries_false,
+                "by_cause": dict(sorted(self.delivery_causes.items())),
+            },
+            "false_injections": self.false_injections,
+            "attribution": dict(self.attribution),
+            "completeness": (
+                self.deliveries_intended / intended if intended else None
+            ),
+            "messages_live": self.builder.num_live,
+            "peak_live_messages": self.builder.peak_live,
+            "end_time": self.engine.get("end_time"),
+        }
+
+    def parity_counters(self) -> Dict[str, int]:
+        """The :data:`PARITY_KEYS` running totals."""
+        return {
+            "messages_created": self.messages_created,
+            "intended_pairs": self.intended_pairs,
+            "forwards_direct": self.forwards.get("direct", 0),
+            "deliveries_total": self.deliveries_total,
+            "deliveries_intended": self.deliveries_intended,
+            "deliveries_false": self.deliveries_false,
+        }
+
+    def broker_rows(self) -> List[Dict[str, object]]:
+        """Top-K per-broker contribution rows, by dwell then carried."""
+        return [
             {
                 "node": node,
                 "dwell_s": account.dwell_s,
@@ -355,6 +361,89 @@ class _Analyzer:
             or account.injections_received
             or account.relay_forwards
         ][: self.top_k]
+
+    # -- lineage finalisation -----------------------------------------------
+
+    def _absorb(self, lineage: MessageLineage) -> None:
+        if lineage.closed_by == "expired":
+            self.expired += 1
+        else:
+            self.open_at_end += 1
+        intended = lineage.num_intended
+        if intended:
+            delivered = lineage.num_intended_delivered
+            if delivered >= intended:
+                self.fully_delivered += 1
+            elif delivered > 0:
+                self.partially_delivered += 1
+            else:
+                self.undelivered += 1
+        for leg in lineage.deliveries:
+            self._absorb_delivery(lineage, leg)
+
+    def _absorb_delivery(
+        self, lineage: MessageLineage, leg: DeliveryLeg
+    ) -> None:
+        decomposition = leg.decomposition
+        if (
+            decomposition is not None
+            and decomposition.producer_wait_s is not None
+        ):
+            self.decomposed += 1
+            self.producer_wait_sum += decomposition.producer_wait_s
+            self.carry_sum += decomposition.carry_s
+            self.final_hop_sum += decomposition.final_hop_s
+            if leg.delay_s is not None:
+                residual = abs(
+                    leg.delay_s
+                    - (
+                        decomposition.producer_wait_s
+                        + decomposition.carry_s
+                        + decomposition.final_hop_s
+                    )
+                )
+                self.max_residual = max(self.max_residual, residual)
+            for node, dwell in decomposition.dwells:
+                account = self._broker(node)
+                account.dwell_s += dwell
+                account.deliveries_carried += 1
+        if leg.delay_s is None:
+            return
+        key = (leg.delay_s, -lineage.msg, -leg.node)
+        if len(self._slowest) < self.top_k:
+            heapq.heappush(self._slowest, key + (_slow_record(lineage, leg),))
+        elif key > self._slowest[0][:3]:
+            heapq.heapreplace(
+                self._slowest, key + (_slow_record(lineage, leg),)
+            )
+
+    # -- result assembly ----------------------------------------------------
+
+    def result(self, trace_schema: int = 1) -> TraceAnalysis:
+        """Flush every live lineage, then assemble the analysis."""
+        self.builder.flush()
+        delays = sorted(self.intended_delays)
+        if delays:
+            delay_mean = sum(delays) / len(delays)
+            mid = len(delays) // 2
+            delay_median = (
+                delays[mid]
+                if len(delays) % 2
+                else (delays[mid - 1] + delays[mid]) / 2.0
+            )
+        else:
+            delay_mean = delay_median = None
+        injections_total = self.forwards.get("inject", 0)
+        stale = self.injection_match.get("stale", 0)
+        genuine = self.injection_match.get("genuine", 0)
+        legacy = self.injection_match.get("legacy", 0)
+        attribution: Dict[str, object] = dict(self.attribution)
+        attribution["false_injections_attributed"] = self.attribution[
+            "relay_filter_fp"
+        ]
+        attribution["false_injection_coverage"] = (
+            1.0 if self.false_injections else None
+        )
         slowest = [
             entry[3]
             for entry in sorted(self._slowest, reverse=True)
@@ -431,7 +520,7 @@ class _Analyzer:
                 ),
                 "max_residual_s": self.max_residual,
             },
-            brokers=brokers,
+            brokers=self.broker_rows(),
             slowest=slowest,
             memory={
                 "peak_live_messages": self.builder.peak_live,
@@ -439,6 +528,26 @@ class _Analyzer:
             },
             engine=self.engine,
         )
+
+
+def _slow_record(
+    lineage: MessageLineage, leg: DeliveryLeg
+) -> Dict[str, object]:
+    """The ``slowest`` row of one delivery (built only on heap entry)."""
+    decomposition = leg.decomposition
+    return {
+        "msg": lineage.msg,
+        "node": leg.node,
+        "delay_s": leg.delay_s,
+        "intended": leg.intended,
+        "chain": leg.chain_label(),
+        "hops": len(leg.chain),
+        "producer_wait_s": (
+            decomposition.producer_wait_s if decomposition else None
+        ),
+        "carry_s": decomposition.carry_s if decomposition else None,
+        "final_hop_s": decomposition.final_hop_s if decomposition else None,
+    }
 
 
 def analyze_trace(
@@ -456,16 +565,12 @@ def analyze_trace(
     supported); given an iterable, pass ``trace_schema`` explicitly if
     known.
     """
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    analyzer = TraceAnalyzer(top_k=top_k)
     if isinstance(source, str):
         if trace_schema is None:
             trace_schema = int(read_trace_meta(source).get("schema", 1))
-        events: Iterable[TraceEvent] = read_trace_iter(source)
-    else:
-        events = source
-    analyzer = _Analyzer(top_k=top_k)
-    for event in events:
+        source = read_trace_iter(source)
+    for event in source:
         analyzer.feed(event)
     return analyzer.result(
         trace_schema if trace_schema is not None else 1

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional
 
 from .events import TraceEvent
 from .live import LiveTailer
@@ -80,9 +80,7 @@ function render(doc) {
     row("deliveries", t.deliveries.total) +
     row("&nbsp;&nbsp;intended", t.deliveries.intended) +
     row("&nbsp;&nbsp;false", t.deliveries.false) +
-    row("false injections", t.false_injections) +
-    row("parity checks (fail)",
-        doc.parity.checks + " (" + doc.parity.failures + ")");
+    row("false injections", t.false_injections);
   document.getElementById("window").innerHTML =
     row("horizon (s)", doc.window_s) +
     row("deliveries int/false",
@@ -120,10 +118,6 @@ setInterval(poll, 2000);
 </body>
 </html>
 """
-
-#: A feed item: a bare event (shard 0) or an explicit (shard, event).
-FeedItem = Union[TraceEvent, Tuple[int, TraceEvent]]
-
 
 class DashboardServer:
     """Serve a live tailer over HTTP on a background thread.
@@ -208,7 +202,7 @@ class DashboardServer:
                     body = json.dumps(
                         {
                             "status": "ok",
-                            "events": dashboard.tailer.seen_events,
+                            "events": dashboard.tailer.totals()["events"],
                         },
                         sort_keys=True,
                     ).encode("utf-8")
@@ -230,24 +224,18 @@ class DashboardServer:
         self._thread.start()
         return self
 
-    def feed_from(self, source: Iterable[FeedItem]) -> threading.Thread:
-        """Drive the tailer from *source* on a daemon thread.
+    def feed_from(self, source: Iterable[TraceEvent]) -> threading.Thread:
+        """Drive the tailer from the events of *source* on a daemon thread.
 
-        *source* may yield bare events (fed as shard 0) or
-        ``(shard, event)`` pairs as produced by
-        :func:`~repro.obs.live.follow_merged_traces`.  The thread ends
-        when the source is exhausted or :meth:`stop` is called.
+        The thread ends when the source is exhausted or :meth:`stop` is
+        called.
         """
 
         def run() -> None:
-            for item in source:
+            for event in source:
                 if self._stop.is_set():
                     break
-                if isinstance(item, tuple):
-                    shard, event = item
-                    self.tailer.feed(event, shard=shard)
-                else:
-                    self.tailer.feed(item)
+                self.tailer.feed(event)
 
         thread = threading.Thread(target=run, name="bsub-dash-feed", daemon=True)
         self._feeders.append(thread)

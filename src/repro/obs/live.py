@@ -1,47 +1,35 @@
 """Online observability: stream a growing trace into rolling live metrics.
 
-The lineage/analysis engine (:mod:`repro.obs.analyze`) is a pure
-function of a *finished* trace.  This module turns the same event
-stream into a **live** ops surface: a :class:`LiveTailer` consumes
-schema-v2 events as they happen — from the in-process
+A :class:`LiveTailer` is the offline
+:class:`~repro.obs.analyze.TraceAnalyzer` fed from a *live* event
+stream — the in-process
 :meth:`TraceRecorder.subscribe <repro.obs.recorder.TraceRecorder.subscribe>`
-bus, from ``read_trace_iter(path, follow=True)`` tailing a growing
-file, from :func:`follow_merged_traces` over a fleet's per-worker
-shards, or from :func:`replay_trace_iter` re-playing a recorded run at
-wall-clock speed — and maintains:
+bus, :func:`follow_merged_traces` tailing one growing trace or a
+fleet's per-worker shards, or :func:`replay_trace_iter` re-playing a
+recorded run at wall-clock speed — plus three things of its own:
 
-* **Exact running totals** that match ``analyze_trace`` on the bytes
-  seen so far.  The offline analyzer counts messages/forwards/
-  injections at event-feed time and deliveries at lineage
-  finalisation, but its final flush makes the delivery totals
-  insensitive to finalisation timing — so counting deliveries directly
-  at event time reproduces the analyzer's totals over *any* event
-  prefix.  :meth:`LiveTailer.verify_parity` re-runs the offline
-  analyzer over the consumed prefix and raises :class:`ParityError` on
-  any mismatch; the serve soak gate does this at every checkpoint.
-* **Bounded rolling windows** (time-horizon + hard length cap) of
-  delivery completeness, latency decomposition percentiles
-  (wait / carry / final hop, via the
-  :class:`~repro.obs.lineage.LineageBuilder` ``on_delivery`` hook),
-  false-injection attribution by cause class, and per-broker dwell.
+* **A lock**, so events may arrive on an event-loop or feeder thread
+  while HTTP handlers take snapshots.
+* **Bounded rolling windows** (time horizon + hard length cap) of
+  delivery counts and latency-decomposition percentiles (delay, wait,
+  carry, final hop), fed through the
+  :class:`~repro.obs.lineage.LineageBuilder` ``on_delivery`` hook.
   Lineage state stays O(live messages) — the builder's expiry heap
   does the bounding, exactly as offline.
-* **A registry mirror**: live counters are incremented into an
-  attached :class:`~repro.obs.registry.MetricsRegistry` at feed time
-  and window-derived gauges refreshed on demand, so the broker's
-  ``/metrics`` exposition grows ``live_*`` series for free.
+* **A registry mirror**: ``live_*`` counters follow the analyzer's
+  totals at feed time and window-derived gauges are refreshed on
+  demand, so the broker's ``/metrics`` exposition grows ``live_*``
+  series for free.
 
-Attribution is fully event-derivable, so it stays exact (not just
-windowed): ``relay_filter_fp`` counts ``false_injection`` events,
-``genuine_but_stale`` counts inject forwards with ``match="stale"``,
-``producer_self`` counts unintended deliveries with ``cause="self"``,
-and ``direct_bf_fp`` the remaining unintended deliveries — the same
-classes, by the same rules, as the offline analyzer.
+Every total — messages, forwards, delivery classes, the four
+false-positive attribution causes — is counted by the analyzer's own
+:meth:`~repro.obs.analyze.TraceAnalyzer.feed`, so the live totals equal
+``analyze_trace`` over the events seen so far by construction.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import threading
 import time
 from collections import deque
@@ -56,55 +44,40 @@ from typing import (
     Tuple,
 )
 
-from .analyze import TraceAnalysis, analyze_trace
+from .analyze import TraceAnalyzer
 from .events import TraceEvent
-from .lineage import DeliveryLeg, LineageBuilder, MessageLineage
+from .lineage import DeliveryLeg, MessageLineage
 from .recorder import _parse_trace_line, read_trace_iter
 
 __all__ = [
-    "PARITY_KEYS",
-    "ParityError",
     "RollingWindow",
     "LiveTailer",
     "follow_merged_traces",
-    "offline_parity_counters",
+    "nearest_rank",
     "replay_trace_iter",
     "format_watch_table",
 ]
 
-#: The six totals gated for exact online/offline parity — the same
-#: keys ``scripts/check_serve_parity.py`` compares between the broker's
-#: dispatcher counters and the offline analyzer.
-PARITY_KEYS = (
-    "messages_created",
-    "intended_pairs",
-    "forwards_direct",
-    "deliveries_total",
-    "deliveries_intended",
-    "deliveries_false",
+#: ``live_*`` registry counters and the analyzer totals they mirror.
+_MIRRORED_COUNTERS = (
+    ("live_events_total", "events"),
+    ("live_deliveries_total", "deliveries_total"),
+    ("live_deliveries_intended_total", "deliveries_intended"),
+    ("live_deliveries_false_total", "deliveries_false"),
+    ("live_false_injections_total", "false_injections"),
 )
 
 
-class ParityError(AssertionError):
-    """Live rolling totals diverged from the offline analyzer."""
+def nearest_rank(ordered: Sequence[float], p: float) -> float:
+    """Nearest-rank percentile ``p`` in [0, 100] of ascending *ordered*.
 
-    def __init__(self, mismatches: Sequence[str]):
-        super().__init__(
-            "live/offline parity violated: " + "; ".join(mismatches)
-        )
-        self.mismatches = list(mismatches)
-
-
-def offline_parity_counters(analysis: TraceAnalysis) -> Dict[str, int]:
-    """The six :data:`PARITY_KEYS` totals of an offline analysis."""
-    return {
-        "messages_created": int(analysis.messages["created"]),
-        "intended_pairs": int(analysis.messages["intended_pairs"]),
-        "forwards_direct": int(analysis.forwards.get("direct", 0)),
-        "deliveries_total": int(analysis.deliveries["total"]),
-        "deliveries_intended": int(analysis.deliveries["intended"]),
-        "deliveries_false": int(analysis.deliveries["false"]),
-    }
+    The smallest sample with at least ``p`` percent of the samples at or
+    below it: rank ``ceil(p / 100 * n)``, and the minimum for ``p = 0``.
+    """
+    if not ordered:
+        raise ValueError("percentile of an empty sample")
+    rank = math.ceil(p * len(ordered) / 100.0)
+    return ordered[min(len(ordered), max(1, rank)) - 1]
 
 
 class RollingWindow:
@@ -151,23 +124,22 @@ class RollingWindow:
         """Nearest-rank percentile ``p`` in [0, 100] of the window."""
         if not self._samples:
             return None
-        ordered = sorted(value for _, value in self._samples)
-        rank = max(
-            0, min(len(ordered) - 1, int(round(p / 100.0 * len(ordered))) - 1)
-        )
-        if p <= 0:
-            rank = 0
-        return ordered[rank]
+        return nearest_rank(sorted(value for _, value in self._samples), p)
 
 
-class LiveTailer:
-    """Streaming consumer maintaining live metrics with offline parity.
+class LiveTailer(TraceAnalyzer):
+    """The trace analyzer, made safe and cheap to read while it runs.
 
     Feed it schema-v2 events — via :meth:`feed` from any source — and
     read :meth:`totals`, :meth:`snapshot`, or the mirrored registry at
     any moment.  Thread-safe: events may arrive from an event-loop
     thread (the recorder bus) or a feeder thread while HTTP handlers
     take snapshots concurrently.
+
+    Delivery delays go only to the rolling windows, never to the
+    analyzer's whole-run delay list, so memory stays bounded on an
+    endless stream; whole-trace delay statistics come from
+    :func:`~repro.obs.analyze.analyze_trace`.
 
     Parameters
     ----------
@@ -178,13 +150,7 @@ class LiveTailer:
     window_s:
         Rolling-window horizon in trace seconds.
     top_k:
-        Per-broker dwell rows retained in :meth:`snapshot`.
-    source_paths:
-        Shard paths backing the stream, enabling
-        :meth:`verify_parity` with no arguments.
-    checkpoint_every:
-        When > 0 and ``source_paths`` is set, automatically run a
-        file-backed parity checkpoint every N fed events.
+        Per-broker rows retained in :meth:`snapshot`.
     """
 
     def __init__(
@@ -192,228 +158,69 @@ class LiveTailer:
         registry=None,
         window_s: float = 300.0,
         top_k: int = 8,
-        source_paths: Optional[Sequence[str]] = None,
-        checkpoint_every: int = 0,
     ):
+        super().__init__(top_k=top_k)
         self.registry = registry
         self.window_s = float(window_s)
-        self.top_k = int(top_k)
-        self.source_paths = list(source_paths) if source_paths else None
-        self.checkpoint_every = int(checkpoint_every)
         self._lock = threading.RLock()
-        self.builder = LineageBuilder(on_delivery=self._on_leg)
-        # -- exact running totals (analyzer event-time semantics) ----------
-        self.seen_events = 0
-        self.seen_by_shard: Dict[int, int] = {}
-        self.messages_created = 0
-        self.intended_pairs = 0
-        self.forwards: Dict[str, int] = {}
-        self.deliveries_total = 0
-        self.deliveries_intended = 0
-        self.deliveries_false = 0
-        self.false_injections = 0
-        self.injection_match: Dict[str, int] = {}
-        self.attribution: Dict[str, int] = {
-            "relay_filter_fp": 0,
-            "genuine_but_stale": 0,
-            "direct_bf_fp": 0,
-            "producer_self": 0,
-        }
-        self.end_time: Optional[float] = None
-        self.sim_ends_seen = 0
-        self.parity_checks = 0
-        self.parity_failures = 0
+        self._mirrors = (
+            [
+                (registry.counter(name), attr)
+                for name, attr in _MIRRORED_COUNTERS
+            ]
+            if registry is not None
+            else []
+        )
         self.last_event_t: Optional[float] = None
         self._started_wall = time.monotonic()
-        # -- rolling windows ------------------------------------------------
         self.delay_window = RollingWindow(self.window_s)
         self.wait_window = RollingWindow(self.window_s)
         self.carry_window = RollingWindow(self.window_s)
         self.final_hop_window = RollingWindow(self.window_s)
         self.intended_window = RollingWindow(self.window_s)
         self.false_window = RollingWindow(self.window_s)
-        #: node -> [dwell_s sum, deliveries carried] (exact totals).
-        self.broker_dwell: Dict[int, List[float]] = {}
 
     # -- ingestion ----------------------------------------------------------
 
-    def feed(self, event: TraceEvent, shard: int = 0) -> None:
+    def feed(self, event: TraceEvent) -> None:
         """Absorb one event (events must arrive in stream order)."""
         with self._lock:
-            self.seen_events += 1
-            self.seen_by_shard[shard] = self.seen_by_shard.get(shard, 0) + 1
+            super().feed(event)
             self.last_event_t = event.t
-            fields = event.fields
-            type_ = event.type
-            if type_ == "create":
-                self.messages_created += 1
-                self.intended_pairs += int(fields.get("num_intended", 0))
-            elif type_ == "forward":
-                kind = fields.get("kind", "?")
-                self.forwards[kind] = self.forwards.get(kind, 0) + 1
-                if kind == "inject":
-                    match = fields.get("match", "legacy")
-                    self.injection_match[match] = (
-                        self.injection_match.get(match, 0) + 1
-                    )
-                    if match == "stale":
-                        self.attribution["genuine_but_stale"] += 1
-            elif type_ == "delivery":
-                self.deliveries_total += 1
-                if bool(fields["intended"]):
-                    self.deliveries_intended += 1
-                    self.intended_window.add(event.t, 1.0)
-                else:
-                    self.deliveries_false += 1
-                    self.false_window.add(event.t, 1.0)
-                    if fields.get("cause") == "self":
-                        self.attribution["producer_self"] += 1
-                    else:
-                        self.attribution["direct_bf_fp"] += 1
-            elif type_ == "false_injection":
-                self.false_injections += 1
-                self.attribution["relay_filter_fp"] += 1
-            elif type_ == "sim_end":
-                self.sim_ends_seen += 1
-                self.end_time = (
-                    event.t
-                    if self.end_time is None
-                    else max(self.end_time, event.t)
-                )
-            registry = self.registry
-            if registry is not None:
-                registry.counter("live_events_total").inc()
-                if type_ == "delivery":
-                    registry.counter("live_deliveries_total").inc()
-                    if bool(fields["intended"]):
-                        registry.counter("live_deliveries_intended_total").inc()
-                    else:
-                        registry.counter("live_deliveries_false_total").inc()
-                elif type_ == "false_injection":
-                    registry.counter("live_false_injections_total").inc()
-            self.builder.feed(event)
-            if (
-                self.checkpoint_every > 0
-                and self.source_paths
-                and self.seen_events % self.checkpoint_every == 0
-            ):
-                self.verify_parity()
+            for counter, attr in self._mirrors:
+                delta = getattr(self, attr) - counter.value
+                if delta:
+                    counter.inc(delta)
 
-    def _on_leg(self, lineage: MessageLineage, leg: DeliveryLeg) -> None:
+    def _on_delivery(self, lineage: MessageLineage, leg: DeliveryLeg) -> None:
         # Invoked by the builder inside feed() — the lock is held.
-        if leg.intended and leg.delay_s is not None:
-            self.delay_window.add(leg.t, leg.delay_s)
+        if leg.intended:
+            self.intended_window.add(leg.t, 1.0)
+            if leg.delay_s is not None:
+                self.delay_window.add(leg.t, leg.delay_s)
+        else:
+            self.false_window.add(leg.t, 1.0)
         decomposition = leg.decomposition
-        if decomposition is None:
-            return
-        if decomposition.producer_wait_s is not None:
+        if (
+            decomposition is not None
+            and decomposition.producer_wait_s is not None
+        ):
             self.wait_window.add(leg.t, decomposition.producer_wait_s)
             self.carry_window.add(leg.t, decomposition.carry_s)
             self.final_hop_window.add(leg.t, decomposition.final_hop_s)
-        for node, dwell in decomposition.dwells:
-            account = self.broker_dwell.get(node)
-            if account is None:
-                account = self.broker_dwell[node] = [0.0, 0]
-            account[0] += dwell
-            account[1] += 1
-
-    # -- parity -------------------------------------------------------------
-
-    def parity_counters(self) -> Dict[str, int]:
-        """The six :data:`PARITY_KEYS` running totals."""
-        with self._lock:
-            return {
-                "messages_created": self.messages_created,
-                "intended_pairs": self.intended_pairs,
-                "forwards_direct": self.forwards.get("direct", 0),
-                "deliveries_total": self.deliveries_total,
-                "deliveries_intended": self.deliveries_intended,
-                "deliveries_false": self.deliveries_false,
-            }
-
-    def check_parity(self, offline: Dict[str, int]) -> List[str]:
-        """Mismatch descriptions vs an offline six-key dict (empty = ok)."""
-        live = self.parity_counters()
-        return [
-            f"{key}: live {live[key]} != offline {int(offline[key])}"
-            for key in PARITY_KEYS
-            if live[key] != int(offline[key])
-        ]
-
-    def verify_parity(
-        self, paths: Optional[Sequence[str]] = None
-    ) -> Dict[str, int]:
-        """Checkpoint: re-analyze the consumed prefix offline, compare.
-
-        Re-reads the first ``seen_by_shard[i]`` events of every shard
-        file (``itertools.islice`` never consumes past the prefix, so
-        an in-flight partially written trailing line is never touched),
-        chains them through :func:`analyze_trace`, and compares the six
-        parity totals against the live ones.  Raises
-        :class:`ParityError` on any mismatch; returns the offline
-        totals otherwise.
-        """
-        with self._lock:
-            consumed = dict(self.seen_by_shard)
-            live = self.parity_counters()
-            paths = list(paths) if paths is not None else self.source_paths
-        if not paths:
-            raise ValueError(
-                "verify_parity needs shard paths (source_paths unset)"
-            )
-        events = itertools.chain.from_iterable(
-            itertools.islice(read_trace_iter(path), consumed.get(shard, 0))
-            for shard, path in enumerate(paths)
-        )
-        offline = offline_parity_counters(
-            analyze_trace(events, trace_schema=2)
-        )
-        mismatches = [
-            f"{key}: live {live[key]} != offline {offline[key]}"
-            for key in PARITY_KEYS
-            if live[key] != offline[key]
-        ]
-        with self._lock:
-            self.parity_checks += 1
-            if mismatches:
-                self.parity_failures += 1
-            registry = self.registry
-            if registry is not None:
-                registry.counter("live_parity_checks_total").inc()
-                if mismatches:
-                    registry.counter("live_parity_failures_total").inc()
-        if mismatches:
-            raise ParityError(mismatches)
-        return offline
 
     # -- views --------------------------------------------------------------
 
     def totals(self) -> Dict[str, object]:
-        """Exact running totals (analyzer semantics) as a plain dict."""
         with self._lock:
-            intended = self.intended_pairs
-            return {
-                "events": self.seen_events,
-                "messages_created": self.messages_created,
-                "intended_pairs": intended,
-                "forwards": dict(sorted(self.forwards.items())),
-                "deliveries": {
-                    "total": self.deliveries_total,
-                    "intended": self.deliveries_intended,
-                    "false": self.deliveries_false,
-                },
-                "false_injections": self.false_injections,
-                "attribution": dict(self.attribution),
-                "completeness": (
-                    self.deliveries_intended / intended if intended else None
-                ),
-                "messages_live": self.builder.num_live,
-                "peak_live_messages": self.builder.peak_live,
-                "end_time": self.end_time,
-            }
+            return super().totals()
+
+    def parity_counters(self) -> Dict[str, int]:
+        with self._lock:
+            return super().parity_counters()
 
     def snapshot(self) -> Dict[str, object]:
-        """JSON-ready live view: totals + windows + parity health."""
+        """JSON-ready live view: totals + windows + top brokers."""
         with self._lock:
             now = self.last_event_t
             if now is not None:
@@ -426,10 +233,6 @@ class LiveTailer:
                     self.false_window,
                 ):
                     window.prune(now)
-            brokers = sorted(
-                self.broker_dwell.items(),
-                key=lambda item: (-item[1][0], item[0]),
-            )[: self.top_k]
             horizon = self.window_s
             return {
                 "totals": self.totals(),
@@ -450,22 +253,10 @@ class LiveTailer:
                     "final_hop_p50_s": self.final_hop_window.percentile(50),
                     "final_hop_p95_s": self.final_hop_window.percentile(95),
                 },
-                "brokers": [
-                    {
-                        "node": node,
-                        "dwell_s": dwell,
-                        "deliveries_carried": carried,
-                    }
-                    for node, (dwell, carried) in brokers
-                ],
-                "parity": {
-                    "checks": self.parity_checks,
-                    "failures": self.parity_failures,
-                },
-                "shards": dict(sorted(self.seen_by_shard.items())),
+                "brokers": self.broker_rows(),
                 "uptime_s": time.monotonic() - self._started_wall,
                 "last_event_t": self.last_event_t,
-                "sim_ends_seen": self.sim_ends_seen,
+                "sim_ends_seen": self.event_counts.get("sim_end", 0),
             }
 
     def refresh_registry(self) -> None:
@@ -669,7 +460,6 @@ def format_watch_table(snapshot: Dict[str, object]) -> str:
     window = snapshot["window"]
     deliveries = totals["deliveries"]
     attribution = totals["attribution"]
-    parity = snapshot["parity"]
     lines = [
         "B-SUB live observability",
         "=" * 56,
@@ -716,9 +506,4 @@ def format_watch_table(snapshot: Dict[str, object]) -> str:
                 f"dwell {_fmt(row['dwell_s'], 's'):<14}"
                 f"carried {row['deliveries_carried']}"
             )
-    lines.append("-" * 56)
-    lines.append(
-        f"{'parity checks (failures)':<28}"
-        f"{parity['checks']} ({parity['failures']})"
-    )
     return "\n".join(lines)

@@ -20,11 +20,11 @@ headerless version-1 files unchanged.  Digests always cover the events
 only, never the header, so a digest is a function of protocol
 behaviour alone.
 
-Two streaming hooks feed the live-observability layer
-(:mod:`repro.obs.live`): :meth:`TraceRecorder.subscribe` registers an
-in-process listener invoked with every event at emit time (no file
-round-trip), and ``read_trace_iter(path, follow=True)`` tails a trace
-file that is still being written, yielding events as their lines land.
+:meth:`TraceRecorder.subscribe` feeds the live-observability layer
+(:mod:`repro.obs.live`): it registers an in-process listener invoked
+with every event at emit time (no file round-trip).  Tailing a trace
+file that is still being written is
+:func:`repro.obs.live.follow_merged_traces`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import time as _time
 from typing import (
     Callable,
     Dict,
@@ -291,47 +290,8 @@ def _parse_trace_line(line: str) -> Optional[TraceEvent]:
     return TraceEvent.from_dict(record)
 
 
-def _follow_lines(
-    path: str,
-    poll_interval_s: float,
-    should_stop: Optional[Callable[[], bool]],
-) -> Iterator[str]:
-    """Yield complete lines of *path*, tailing it as it grows.
-
-    Reads in binary mode and splits on newlines manually so a
-    partially written trailing line (the writer mid-``write``) is
-    buffered until its newline lands, never parsed early.  Stops when
-    *should_stop* returns true at EOF; otherwise sleeps
-    *poll_interval_s* and retries.  The caller stops consuming once it
-    sees ``sim_end``, so a finished trace terminates without a stop
-    callback.
-    """
-    buffer = b""
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(65536)
-            if chunk:
-                buffer += chunk
-                while True:
-                    newline = buffer.find(b"\n")
-                    if newline < 0:
-                        break
-                    line = buffer[:newline]
-                    buffer = buffer[newline + 1:]
-                    yield line.decode("utf-8")
-                continue
-            if should_stop is not None and should_stop():
-                return
-            _time.sleep(poll_interval_s)
-
-
 def read_trace_iter(
-    path: str,
-    type: Optional[str] = None,
-    *,
-    follow: bool = False,
-    poll_interval_s: float = 0.2,
-    should_stop: Optional[Callable[[], bool]] = None,
+    path: str, type: Optional[str] = None
 ) -> Iterator[TraceEvent]:
     """Stream the events of a JSONL trace file, one at a time.
 
@@ -339,24 +299,7 @@ def read_trace_iter(
     on: one line is parsed per step and nothing is retained, so
     million-event traces cost O(1) reader memory.  Meta header lines
     and blanks are skipped; optionally filters to one event *type*.
-
-    With ``follow=True`` the reader tails the file as it grows (like
-    ``tail -f``): at EOF it polls every *poll_interval_s* seconds for
-    new complete lines instead of returning, handling partially
-    written trailing lines safely.  The iterator ends after yielding a
-    ``sim_end`` event (the trace's end-of-run anchor) or when
-    *should_stop* returns true while at EOF.
     """
-    if follow:
-        for raw in _follow_lines(path, poll_interval_s, should_stop):
-            event = _parse_trace_line(raw)
-            if event is None:
-                continue
-            if type is None or event.type == type:
-                yield event
-            if event.type == "sim_end":
-                return
-        return
     with open(path) as fh:
         for line in fh:
             event = _parse_trace_line(line)

@@ -47,6 +47,7 @@ import json
 import time as _time
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from ..obs.analyze import PARITY_KEYS
 from ..obs.live import LiveTailer
 from ..obs.recorder import NULL_RECORDER, TraceRecorder
 from ..obs.registry import MetricsRegistry
@@ -248,11 +249,15 @@ class BrokerServer:
         self._summary = self.core.shutdown()
         if self.tailer is not None:
             # The tailer saw every emitted event (sim_end included by
-            # now); its running totals must equal the dispatcher's own
-            # parity counters — the zero-file-IO parity checkpoint.
-            mismatches = self.tailer.check_parity(
-                self.core.parity_counters()
-            )
+            # now); the analyzer's totals must equal the dispatcher's
+            # own counters, which are a separate computation.
+            live = self.tailer.parity_counters()
+            dispatched = self.core.parity_counters()
+            mismatches = [
+                f"{key}: live {live[key]} != dispatcher {dispatched[key]}"
+                for key in PARITY_KEYS
+                if live[key] != dispatched[key]
+            ]
             self._summary["live_parity_ok"] = not mismatches
             if mismatches:
                 self._summary["live_parity_mismatches"] = mismatches

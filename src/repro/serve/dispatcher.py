@@ -50,6 +50,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..core.hashing import HashFamily
 from ..core.tcbf import TemporalCountingBloomFilter
+from ..obs.analyze import PARITY_KEYS
 from ..obs.introspect import relay_max_counter
 from ..obs.recorder import NULL_RECORDER
 from ..obs.registry import MetricsRegistry
@@ -76,6 +77,16 @@ _FANOUT_EDGES = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0, 1000.0)
 #: Fixed publish-processing latency edges, seconds.
 _LATENCY_EDGES = (
     1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0,
+)
+#: The registry counter behind each :data:`~repro.obs.analyze.PARITY_KEYS`
+#: total, in the same order.
+_PARITY_COUNTERS = (
+    "serve_messages_total",
+    "serve_intended_pairs_total",
+    "serve_forwards_direct_total",
+    "serve_deliveries_total",
+    "serve_deliveries_intended_total",
+    "serve_deliveries_false_total",
 )
 
 
@@ -836,14 +847,8 @@ class BrokerCore:
         """
         counter = self.registry.counter
         return {
-            "messages_created": counter("serve_messages_total").value,
-            "intended_pairs": counter("serve_intended_pairs_total").value,
-            "forwards_direct": counter("serve_forwards_direct_total").value,
-            "deliveries_total": counter("serve_deliveries_total").value,
-            "deliveries_intended": counter(
-                "serve_deliveries_intended_total"
-            ).value,
-            "deliveries_false": counter("serve_deliveries_false_total").value,
+            key: counter(name).value
+            for key, name in zip(PARITY_KEYS, _PARITY_COUNTERS)
         }
 
 

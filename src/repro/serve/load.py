@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..obs.live import nearest_rank
 from ..pubsub.messages import Message
 from ..pubsub.wire import (
     Hello,
@@ -230,10 +231,8 @@ class LoadDriver:
         wall = loop.time() - t0
         lat = sorted(self.latencies_s)
 
-        def _pct(q: float) -> float:
-            if not lat:
-                return 0.0
-            return lat[min(len(lat) - 1, int(q * len(lat)))] * 1000.0
+        def _pct(p: float) -> float:
+            return nearest_rank(lat, p) * 1000.0 if lat else 0.0
 
         return LoadReport(
             sessions_requested=self.spec.sessions,
@@ -251,8 +250,8 @@ class LoadDriver:
             latency_mean_ms=(
                 sum(lat) / len(lat) * 1000.0 if lat else 0.0
             ),
-            latency_p50_ms=_pct(0.50),
-            latency_p95_ms=_pct(0.95),
+            latency_p50_ms=_pct(50),
+            latency_p95_ms=_pct(95),
             latency_max_ms=lat[-1] * 1000.0 if lat else 0.0,
         )
 

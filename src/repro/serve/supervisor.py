@@ -49,6 +49,7 @@ import time as _time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
+from ..obs.analyze import PARITY_KEYS
 from ..obs.recorder import merge_traces
 from ..obs.registry import MetricsRegistry
 from .broker import BrokerServer, http_response, parse_request_path
@@ -72,21 +73,12 @@ _REDIAL_BACKOFF_S = 0.2
 #: LimitOverrunError mid-run.
 _MESH_STREAM_LIMIT = 64 * 1024 * 1024
 
-_PARITY_KEYS = (
-    "messages_created",
-    "intended_pairs",
-    "forwards_direct",
-    "deliveries_total",
-    "deliveries_intended",
-    "deliveries_false",
-)
-
 
 def sum_parity(parities: List[Dict[str, int]]) -> Dict[str, int]:
     """Sum per-worker parity counters into the fleet totals the merged
     trace's analyzer output must match exactly."""
     return {
-        key: sum(p.get(key, 0) for p in parities) for key in _PARITY_KEYS
+        key: sum(p.get(key, 0) for p in parities) for key in PARITY_KEYS
     }
 
 

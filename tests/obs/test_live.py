@@ -1,11 +1,12 @@
 """Online observability: LiveTailer parity, tailing, and the dashboard.
 
-The central claim mirrors the offline analyzer's: the live tailer's
+The central claim mirrors the offline analyzer's: the analyzer's
 running totals equal ``analyze_trace`` on the bytes seen so far — over
-*any* event prefix, not just at end of stream — while holding only the
-live message set in memory.  The follow/merge sources and the watch/
-dash surfaces are exercised against both a finished trace and a file
-that grows underneath the reader.
+*any* event prefix, not just at end of stream — and the live tailer,
+which is that analyzer plus rolling windows, holds only the live
+message set in memory.  The follow/merge sources and the watch/dash
+surfaces are exercised against both a finished trace and a file that
+grows underneath the reader.
 """
 
 import itertools
@@ -21,14 +22,13 @@ from repro.cli import main
 from repro.obs import (
     LiveTailer,
     MetricsRegistry,
-    ParityError,
     RollingWindow,
+    TraceAnalyzer,
     TraceEvent,
     analyze_trace,
     follow_merged_traces,
     format_watch_table,
     merge_traces,
-    offline_parity_counters,
     read_trace_iter,
     replay_trace_iter,
 )
@@ -54,6 +54,41 @@ def feed_all(tailer, path, limit=None):
         tailer.feed(event)
         count += 1
     return count
+
+
+def offline_totals(analysis):
+    """``analyze_trace``'s counts, shaped like ``TraceAnalyzer.totals()``
+    (less ``messages_live``, which a finished analysis no longer has)."""
+    return {
+        "events": sum(analysis.event_counts.values()),
+        "messages_created": analysis.messages["created"],
+        "intended_pairs": analysis.messages["intended_pairs"],
+        "forwards": {
+            kind: count for kind, count in analysis.forwards.items()
+            if kind != "total"
+        },
+        "deliveries": {
+            key: analysis.deliveries[key]
+            for key in ("total", "intended", "false", "by_cause")
+        },
+        "false_injections": analysis.injections["false"],
+        "attribution": {
+            cause: analysis.attribution[cause]
+            for cause in (
+                "relay_filter_fp", "genuine_but_stale",
+                "direct_bf_fp", "producer_self",
+            )
+        },
+        "completeness": analysis.deliveries["delivery_ratio"],
+        "peak_live_messages": analysis.memory["peak_live_messages"],
+        "end_time": analysis.engine.get("end_time"),
+    }
+
+
+def counted(totals):
+    """Running totals without ``messages_live``."""
+    return {key: value for key, value in totals.items()
+            if key != "messages_live"}
 
 
 def write_shard(path, events, *, sim_end=None):
@@ -90,6 +125,18 @@ class TestRollingWindow:
         assert window.percentile(100) == 100.0
         assert window.percentile(0) == 1.0
 
+    def test_percentile_rank_rounds_up(self):
+        # Nearest rank is ceil(p/100 * n): p50 of 1..5 is the 3rd value
+        # and p10 of 1..12 the 2nd, never a round()-to-even neighbour.
+        for values, p, expected in (
+            (range(1, 6), 50, 3.0),
+            (range(1, 13), 10, 2.0),
+        ):
+            window = RollingWindow(horizon_s=1e9)
+            for v in values:
+                window.add(0.0, float(v))
+            assert window.percentile(p) == expected
+
     def test_empty_window_is_none(self):
         window = RollingWindow()
         assert window.percentile(50) is None
@@ -101,8 +148,7 @@ class TestParityTotals:
         path, analysis = mini_trace
         tailer = LiveTailer()
         feed_all(tailer, path)
-        assert tailer.parity_counters() == offline_parity_counters(analysis)
-        assert tailer.check_parity(offline_parity_counters(analysis)) == []
+        assert counted(tailer.totals()) == offline_totals(analysis)
 
     def test_attribution_matches_offline(self, mini_trace):
         path, analysis = mini_trace
@@ -113,66 +159,36 @@ class TestParityTotals:
             assert analysis.attribution[cause] == count
 
     def test_parity_holds_on_any_prefix(self, mini_trace):
-        # The load-bearing invariant: parity is not an end-of-stream
-        # accident but holds mid-flight, which is what lets the serve
-        # gate checkpoint a *growing* trace.
+        # The load-bearing invariant: totals are not an end-of-stream
+        # accident but hold mid-flight, and reading them disturbs
+        # nothing — one analyzer is read at three prefixes and goes on.
         path, _analysis = mini_trace
         total = sum(1 for _ in read_trace_iter(path))
+        analyzer = TraceAnalyzer()
+        events = read_trace_iter(path)
+        consumed = 0
         for fraction in (0.1, 0.5, 0.9):
-            tailer = LiveTailer()
-            consumed = feed_all(tailer, path, limit=int(total * fraction))
+            target = int(total * fraction)
+            for event in itertools.islice(events, target - consumed):
+                analyzer.feed(event)
+            consumed = target
             prefix = itertools.islice(read_trace_iter(path), consumed)
-            offline = offline_parity_counters(
-                analyze_trace(prefix, trace_schema=2)
-            )
-            assert tailer.parity_counters() == offline
-
-    def test_verify_parity_passes_and_counts(self, mini_trace):
-        path, _analysis = mini_trace
-        tailer = LiveTailer(source_paths=[path])
-        feed_all(tailer, path, limit=5_000)
-        offline = tailer.verify_parity()
-        assert set(offline) == {
-            "messages_created", "intended_pairs", "forwards_direct",
-            "deliveries_total", "deliveries_intended", "deliveries_false",
-        }
-        assert tailer.parity_checks == 1
-        assert tailer.parity_failures == 0
-
-    def test_verify_parity_raises_on_divergence(self, mini_trace):
-        path, _analysis = mini_trace
-        tailer = LiveTailer(source_paths=[path])
-        feed_all(tailer, path, limit=1_000)
-        tailer.deliveries_total += 1  # inject a divergence
-        with pytest.raises(ParityError, match="deliveries_total"):
-            tailer.verify_parity()
-        assert tailer.parity_failures == 1
-
-    def test_verify_parity_without_paths_rejected(self):
-        with pytest.raises(ValueError, match="source_paths"):
-            LiveTailer().verify_parity()
-
-    def test_auto_checkpoints_every_n_events(self, mini_trace):
-        path, _analysis = mini_trace
-        tailer = LiveTailer(source_paths=[path], checkpoint_every=1_000)
-        consumed = feed_all(tailer, path, limit=3_500)
-        assert tailer.parity_checks == consumed // 1_000
-        assert tailer.parity_failures == 0
+            offline = analyze_trace(prefix, trace_schema=2)
+            assert counted(analyzer.totals()) == offline_totals(offline)
 
     def test_registry_mirror_counts_at_feed_time(self, mini_trace):
         path, analysis = mini_trace
         registry = MetricsRegistry()
         tailer = LiveTailer(registry=registry)
         consumed = feed_all(tailer, path)
-        offline = offline_parity_counters(analysis)
         assert registry.counter("live_events_total").value == consumed
         assert (
             registry.counter("live_deliveries_total").value
-            == offline["deliveries_total"]
+            == analysis.deliveries["total"]
         )
         assert (
             registry.counter("live_deliveries_false_total").value
-            == offline["deliveries_false"]
+            == analysis.deliveries["false"]
         )
         tailer.refresh_registry()
         assert (
@@ -235,10 +251,13 @@ class TestFollowMode:
 
         writer = threading.Thread(target=append_rest)
         writer.start()
-        events = list(
-            read_trace_iter(str(growing), follow=True, poll_interval_s=0.02)
-        )
-        writer.join()
+        events = [
+            event for _shard, event in follow_merged_traces(
+                [str(growing)], follow=True, poll_interval_s=0.02
+            )
+        ]
+        writer.join(timeout=5.0)
+        assert not writer.is_alive()
         assert [e.type for e in events] == ["contact"] * 6 + ["sim_end"]
         assert [e.t for e in events][:6] == [float(i) for i in range(6)]
 
@@ -248,7 +267,11 @@ class TestFollowMode:
             [(1.0, "contact", {"a": 1, "b": 2})],
             sim_end=(2.0, {"contacts": 1}),
         )
-        events = list(read_trace_iter(path, follow=True, poll_interval_s=0.01))
+        events = [
+            event for _shard, event in follow_merged_traces(
+                [path], follow=True, poll_interval_s=0.01
+            )
+        ]
         assert events[-1].type == "sim_end"
 
     def test_follow_should_stop_without_sim_end(self, tmp_path):
@@ -257,12 +280,12 @@ class TestFollowMode:
         )
         stop = threading.Event()
         stop.set()
-        events = list(
-            read_trace_iter(
-                path, follow=True, poll_interval_s=0.01,
+        events = [
+            event for _shard, event in follow_merged_traces(
+                [path], follow=True, poll_interval_s=0.01,
                 should_stop=stop.is_set,
             )
-        )
+        ]
         assert [e.type for e in events] == ["contact"]
 
 
@@ -360,16 +383,22 @@ class TestFollowMergedTraces:
 
         thread = threading.Thread(target=writer)
         thread.start()
-        tailer = LiveTailer(source_paths=paths)
-        for shard, event in follow_merged_traces(
+        tailer = LiveTailer()
+        for _shard, event in follow_merged_traces(
             paths, follow=True, poll_interval_s=0.02
         ):
-            tailer.feed(event, shard=shard)
-        thread.join()
-        assert tailer.verify_parity() == tailer.parity_counters()
+            tailer.feed(event)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        merged = str(tmp_path / "merged.jsonl")
+        merge_traces(paths, merged)
+        offline = TraceAnalyzer()
+        for event in read_trace_iter(merged):
+            offline.feed(event)
+        assert tailer.parity_counters() == offline.parity_counters()
         assert tailer.parity_counters()["messages_created"] == 2
         assert tailer.parity_counters()["deliveries_intended"] == 2
-        assert tailer.sim_ends_seen == 2
+        assert tailer.snapshot()["sim_ends_seen"] == 2
 
 
 class TestReplay:
@@ -440,14 +469,20 @@ class TestRecorderBus:
 class TestWatchCli:
     def test_watch_once_renders_table_with_parity(self, mini_trace, capsys):
         path, analysis = mini_trace
-        rc = main(["watch", path, "--once", "--verify"])
+        rc = main(["watch", path, "--once"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "B-SUB live observability" in out
-        offline = offline_parity_counters(analysis)
-        assert str(offline["messages_created"]) in out
-        assert "parity checks (failures)" in out
-        assert "1 (0)" in out  # the --verify checkpoint ran and passed
+        deliveries = analysis.deliveries
+        for label, value in (
+            ("messages created", str(analysis.messages["created"])),
+            (
+                "deliveries (int/false)",
+                f"{deliveries['total']} "
+                f"({deliveries['intended']}/{deliveries['false']})",
+            ),
+        ):
+            assert f"{label:<28}{value}" in out
 
     def test_watch_replay_mode(self, tmp_path, capsys):
         path = write_shard(
@@ -485,14 +520,13 @@ class TestDashboard:
             status, body = get("/data.json")
             assert status == 200
             snapshot = json.loads(body)
-            offline = offline_parity_counters(analysis)
             assert (
                 snapshot["totals"]["messages_created"]
-                == offline["messages_created"]
+                == analysis.messages["created"]
             )
             assert (
                 snapshot["totals"]["deliveries"]["total"]
-                == offline["deliveries_total"]
+                == analysis.deliveries["total"]
             )
             status, body = get("/")
             assert status == 200

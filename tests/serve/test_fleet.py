@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.hashing import HashFamily
-from repro.obs.analyze import analyze_trace
+from repro.obs.analyze import PARITY_KEYS, analyze_trace
 from repro.obs.recorder import TraceRecorder
 from repro.pubsub.wire import (
     Hello,
@@ -39,16 +39,6 @@ from repro.serve import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-
-PARITY_KEYS = (
-    "messages_created",
-    "intended_pairs",
-    "forwards_direct",
-    "deliveries_total",
-    "deliveries_intended",
-    "deliveries_false",
-)
-
 
 class Clock:
     def __init__(self):

@@ -132,6 +132,24 @@ class TestLiveBroker:
         assert summary["live_parity_ok"] is True
         assert summary["live"]["totals"]["messages_created"] > 0
 
+    def test_live_parity_mismatch_is_reported(self, tmp_path):
+        # The tailer and the dispatcher count separately; a dispatcher
+        # counter that drifts must fail the shutdown cross-check.
+        async def main():
+            spec = ServeSpec(
+                port=0, idle_timeout_s=30.0, live=True,
+                trace_path=str(tmp_path / "trace.jsonl"),
+            )
+            server = BrokerServer(spec, registry=MetricsRegistry())
+            await server.start()
+            server.registry.counter("serve_deliveries_total").inc()
+            return await server.stop()
+
+        summary = asyncio.run(main())
+        assert summary["live_parity_ok"] is False
+        [mismatch] = summary["live_parity_mismatches"]
+        assert mismatch.startswith("deliveries_total:")
+
     def test_live_without_trace_recorder_is_inert(self):
         async def main():
             spec = ServeSpec(port=0, idle_timeout_s=30.0, live=True)

@@ -12,28 +12,26 @@
 
 import pytest
 
+from repro.api import run
 from repro.core.hashing import HashFamily
 from repro.core.tcbf import TemporalCountingBloomFilter
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_experiment
 from repro.pubsub.broker_allocation import StaticBrokerSet
 from repro.social.centrality import degree_centrality
 
-from .conftest import bench_config, emit
+from .conftest import bench_spec, emit
 
 TTL_MIN = 600.0
 
 
-def _config(**overrides):
-    return bench_config(ttl_min=TTL_MIN, **overrides)
+def _spec(**overrides):
+    return bench_spec(ttl_min=TTL_MIN, **overrides)
 
 
 @pytest.fixture(scope="module")
 def merge_ablation(haggle_trace):
-    m_merge = run_experiment(haggle_trace, "B-SUB", _config())
-    a_merge = run_experiment(
-        haggle_trace, "B-SUB", _config(broker_broker_additive_merge=True)
-    )
+    m_merge = run(haggle_trace, _spec())
+    a_merge = run(haggle_trace, _spec(broker_broker_additive_merge=True))
     return m_merge, a_merge
 
 
@@ -68,11 +66,12 @@ def test_ablation_election_vs_static(benchmark, haggle_trace):
     def run_static():
         centrality = degree_centrality(haggle_trace)
         static = StaticBrokerSet.top_fraction(centrality, 0.3)
-        config = _config(static_brokers=tuple(sorted(static.brokers())))
-        return run_experiment(haggle_trace, "B-SUB", config)
+        return run(
+            haggle_trace, _spec(static_brokers=tuple(sorted(static.brokers())))
+        )
 
     static_result = benchmark.pedantic(run_static, rounds=1, iterations=1)
-    dynamic_result = run_experiment(haggle_trace, "B-SUB", _config())
+    dynamic_result = run(haggle_trace, _spec())
     rows = [
         ["dynamic election (paper)", dynamic_result.broker_fraction,
          dynamic_result.summary.delivery_ratio,

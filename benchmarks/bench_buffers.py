@@ -9,24 +9,23 @@ PUSH's delivery ratio much more than B-SUB's.
 
 import pytest
 
+from repro.api import run
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_experiment
 
-from .conftest import bench_config, emit
+from .conftest import bench_spec, emit
 
 CAPACITIES = (None, 200, 50, 10)
 
 
 def _run_grid(trace):
-    config = bench_config(ttl_min=600.0)
+    config = bench_spec(ttl_min=600.0)
     grid = {}
     for capacity in CAPACITIES:
-        push_cfg = bench_config(ttl_min=600.0, push_buffer_capacity=capacity)
-        bsub_cfg = bench_config(ttl_min=600.0, carried_capacity=capacity)
-        grid[capacity] = (
-            run_experiment(trace, "PUSH", push_cfg),
-            run_experiment(trace, "B-SUB", bsub_cfg),
+        push = bench_spec(
+            protocol="PUSH", ttl_min=600.0, push_buffer_capacity=capacity
         )
+        bsub = bench_spec(ttl_min=600.0, carried_capacity=capacity)
+        grid[capacity] = (run(trace, push), run(trace, bsub))
     return grid
 
 

@@ -11,17 +11,15 @@ and the false-positive traffic only the TCBF produces.
 import pytest
 
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_experiment
+from repro.api import run
 
-from .conftest import bench_config, emit
+from .conftest import bench_spec, emit
 
 
 def _run_pair(trace):
     base = dict(ttl_min=600.0)
-    tcbf = run_experiment(trace, "B-SUB", bench_config(**base))
-    raw = run_experiment(
-        trace, "B-SUB", bench_config(interest_encoding="raw", **base)
-    )
+    tcbf = run(trace, bench_spec(**base))
+    raw = run(trace, bench_spec(interest_encoding="raw", **base))
     return tcbf, raw
 
 

@@ -11,16 +11,16 @@ import pytest
 
 from repro.dtn.energy import BLUETOOTH_CLASS2_MODEL
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_experiment
+from repro.api import run
 
-from .conftest import bench_config, emit
+from .conftest import bench_spec, emit
 
 
 @pytest.fixture(scope="module")
 def runs(haggle_trace):
-    config = bench_config(ttl_min=600.0)
+    spec = bench_spec(ttl_min=600.0)
     return {
-        name: run_experiment(haggle_trace, name, config)
+        name: run(haggle_trace, spec.with_protocol(name))
         for name in ("PUSH", "B-SUB", "PULL")
     }
 

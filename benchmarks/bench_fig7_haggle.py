@@ -10,19 +10,17 @@ import math
 
 import pytest
 
+from repro import api
 from repro.experiments.report import figure_series, series_table
-from repro.experiments.sweeps import ttl_sweep
 
-from .conftest import bench_config, emit, emit_json, fp_attribution, nan_to_none
+from .conftest import bench_spec, emit, emit_json, fp_attribution, nan_to_none
 
 TTL_VALUES_MIN = (10.0, 30.0, 100.0, 300.0, 1000.0)
 
 
 @pytest.fixture(scope="module")
 def sweep(haggle_trace):
-    return ttl_sweep(
-        haggle_trace, ttl_values_min=TTL_VALUES_MIN, base_config=bench_config()
-    )
+    return api.sweep(haggle_trace, bench_spec(), ttl_min=TTL_VALUES_MIN)
 
 
 def _emit_structured(sweep):
@@ -82,11 +80,7 @@ def test_fig7_sweep(benchmark, haggle_trace):
     check every panel's qualitative shape (the assertions also run as
     granular tests below when benchmarks are not isolated)."""
     result = benchmark.pedantic(
-        lambda: ttl_sweep(
-            haggle_trace,
-            ttl_values_min=TTL_VALUES_MIN,
-            base_config=bench_config(),
-        ),
+        lambda: api.sweep(haggle_trace, bench_spec(), ttl_min=TTL_VALUES_MIN),
         rounds=1,
         iterations=1,
     )

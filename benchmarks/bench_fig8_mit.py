@@ -9,19 +9,17 @@ import math
 
 import pytest
 
+from repro import api
 from repro.experiments.report import figure_series, series_table
-from repro.experiments.sweeps import ttl_sweep
 
-from .conftest import bench_config, emit
+from .conftest import bench_spec, emit
 
 TTL_VALUES_MIN = (10.0, 30.0, 100.0, 300.0, 1000.0)
 
 
 @pytest.fixture(scope="module")
 def sweep(mit_trace):
-    return ttl_sweep(
-        mit_trace, ttl_values_min=TTL_VALUES_MIN, base_config=bench_config()
-    )
+    return api.sweep(mit_trace, bench_spec(), ttl_min=TTL_VALUES_MIN)
 
 
 def _assert_delivery_ordering(sweep):
@@ -56,11 +54,11 @@ def _assert_pull_is_one(sweep):
 def _assert_mit_lower_than_haggle(sweep, haggle_trace):
     """'Overall, the MIT Reality trace forms a sparser network ...
     so the delivery ratio in the MIT Reality trace is lower.'"""
-    haggle = ttl_sweep(
+    haggle = api.sweep(
         haggle_trace,
-        ttl_values_min=(TTL_VALUES_MIN[-1],),
+        bench_spec(),
+        ttl_min=(TTL_VALUES_MIN[-1],),
         protocols=("PUSH",),
-        base_config=bench_config(),
     )
     haggle_ratio = haggle["PUSH"][0].summary.delivery_ratio
     mit_ratio = sweep["PUSH"][-1].summary.delivery_ratio
@@ -69,9 +67,7 @@ def _assert_mit_lower_than_haggle(sweep, haggle_trace):
 
 def test_fig8_sweep(benchmark, mit_trace, haggle_trace):
     result = benchmark.pedantic(
-        lambda: ttl_sweep(
-            mit_trace, ttl_values_min=TTL_VALUES_MIN, base_config=bench_config()
-        ),
+        lambda: api.sweep(mit_trace, bench_spec(), ttl_min=TTL_VALUES_MIN),
         rounds=1,
         iterations=1,
     )

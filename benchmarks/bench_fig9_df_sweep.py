@@ -27,24 +27,21 @@ import math
 
 import pytest
 
+from repro.api import sweep
 from repro.core.analysis import false_positive_rate
 from repro.experiments.report import metric_series, series_table
-from repro.experiments.sweeps import df_sweep
 
-from .conftest import bench_config, emit, emit_json, fp_attribution, nan_to_none
+from .conftest import bench_spec, emit, emit_json, fp_attribution, nan_to_none
 
 DF_VALUES = (0.0, 0.069, 0.138, 0.25, 0.5, 1.0, 2.0)
 TTL_MIN = 20.0 * 60.0
 
 
 def run_sweeps(haggle_trace, mit_trace):
+    spec = bench_spec(ttl_min=TTL_MIN)
     return {
-        "Haggle(Infocom06)-like": df_sweep(
-            haggle_trace, DF_VALUES, ttl_min=TTL_MIN, base_config=bench_config()
-        ),
-        "MIT-Reality-like": df_sweep(
-            mit_trace, DF_VALUES, ttl_min=TTL_MIN, base_config=bench_config()
-        ),
+        "Haggle(Infocom06)-like": sweep(haggle_trace, spec, df_per_min=DF_VALUES),
+        "MIT-Reality-like": sweep(mit_trace, spec, df_per_min=DF_VALUES),
     }
 
 

@@ -8,11 +8,11 @@ quantifies how much of any single-run difference is seed noise.
 
 import pytest
 
-from repro.experiments.replication import run_replicated
+from repro.api import replicate
 from repro.experiments.report import format_table
 from repro.traces.synthetic import haggle_like
 
-from .conftest import BENCH_SCALE, bench_config, emit
+from .conftest import BENCH_SCALE, bench_spec, emit
 
 SEEDS = (0, 1, 2)
 PROTOCOLS = ("PUSH", "B-SUB", "SPRAY", "PULL")
@@ -23,15 +23,15 @@ def _factory(seed):
 
 
 def test_baseline_landscape(benchmark):
-    config = bench_config(ttl_min=600.0)
+    spec = bench_spec(ttl_min=600.0)
 
-    def replicate():
+    def replicate_all():
         return {
-            name: run_replicated(_factory, name, config, seeds=SEEDS)
+            name: replicate(_factory, spec.with_protocol(name), seeds=SEEDS)
             for name in PROTOCOLS
         }
 
-    results = benchmark.pedantic(replicate, rounds=1, iterations=1)
+    results = benchmark.pedantic(replicate_all, rounds=1, iterations=1)
     rows = []
     for name in PROTOCOLS:
         r = results[name]

@@ -7,22 +7,21 @@ against one shared fault-free twin.  Delivery must degrade
 stay conserved at every loss rate, and the whole curve is persisted to
 ``benchmarks/results/BENCH_resilience.json`` for regression tracking.
 
-All runs share one deterministic workload (same config seeds), so the
+All runs share one deterministic workload (same spec seeds), so the
 curve isolates the channel: every delta against the twin is fault
 damage, not workload noise.
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 
+from repro.api import run
 from repro.experiments.resilience import ResilienceReport
 from repro.experiments.report import series_table
-from repro.experiments.runner import _run_experiment
 from repro.faults import FaultSpec
 
-from .conftest import RESULTS_DIR, bench_config, emit
+from .conftest import RESULTS_DIR, bench_spec, emit
 
 LOSS_RATES = (0.1, 0.25, 0.5, 0.75)
 TTL_MIN = 120.0
@@ -31,13 +30,13 @@ FAULT_SEED = 1
 
 def run_curve(haggle_trace):
     """loss -> ResilienceReport, all sharing one fault-free twin."""
-    base = bench_config(ttl_min=TTL_MIN)
-    baseline = _run_experiment(haggle_trace, "B-SUB", base)
+    base = bench_spec(ttl_min=TTL_MIN)
+    baseline = run(haggle_trace, base)
     reports = {}
     for loss in LOSS_RATES:
-        faulted = _run_experiment(
-            haggle_trace, "B-SUB",
-            replace(base, faults=FaultSpec(frame_loss=loss, seed=FAULT_SEED)),
+        faulted = run(
+            haggle_trace,
+            base.with_faults(FaultSpec(frame_loss=loss, seed=FAULT_SEED)),
         )
         reports[loss] = ResilienceReport(faulted=faulted, baseline=baseline)
     return reports

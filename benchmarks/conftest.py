@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import ExperimentSpec
 from repro.core.filter_zoo import registered_backends
-from repro.experiments.config import ExperimentConfig
 from repro.traces.synthetic import haggle_like, mit_reality_like
 
 #: Fraction of the paper's contact volume to simulate (1.0 = full scale).
@@ -57,10 +57,10 @@ def zoo_bench_specs() -> dict:
     return dict(ZOO_BENCH_SPECS)
 
 
-def bench_config(**overrides) -> ExperimentConfig:
+def bench_spec(**overrides) -> ExperimentSpec:
     defaults = dict(min_rate_per_s=BENCH_MIN_RATE)
     defaults.update(overrides)
-    return ExperimentConfig(**defaults)
+    return ExperimentSpec(**defaults)
 
 
 def emit(name: str, text: str) -> str:

@@ -13,8 +13,9 @@ for that efficiency.
 Run:  python examples/campus_mobility.py
 """
 
+from repro import ExperimentSpec, run
 from repro.dtn import BLUETOOTH_CLASS2_MODEL
-from repro.experiments import ExperimentConfig, format_table, run_experiment
+from repro.experiments import format_table
 from repro.traces import MobilityConfig, compute_stats, simulate_mobility
 
 
@@ -39,14 +40,14 @@ def main():
           f"median inter-contact: {stats.median_inter_contact_s / 60:.0f} min\n")
 
     print("=== 2. Run the protocols ===\n")
-    experiment = ExperimentConfig(
+    spec = ExperimentSpec(
         ttl_min=120.0,               # two-hour message usefulness
         min_rate_per_s=1 / 900.0,    # one message per 15 min for the
                                      # least central student
     )
     rows = []
     for protocol in ("PUSH", "B-SUB", "PULL"):
-        result = run_experiment(trace, protocol, experiment)
+        result = run(trace, spec.with_protocol(protocol))
         energy = BLUETOOTH_CLASS2_MODEL.evaluate(result.engine)
         summary = result.summary
         rows.append(

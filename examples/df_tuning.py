@@ -13,6 +13,7 @@ The DF is B-SUB's central knob.  This example:
 Run:  python examples/df_tuning.py
 """
 
+from repro import ExperimentSpec, sweep
 from repro.core import (
     expected_min_collisions,
     expected_unique_keys,
@@ -21,7 +22,7 @@ from repro.core import (
     plan_allocation,
     recommended_decay_factor,
 )
-from repro.experiments import ExperimentConfig, df_sweep, format_table
+from repro.experiments import format_table
 from repro.traces import haggle_like
 from repro.workload import twitter_trends_2009
 
@@ -79,11 +80,8 @@ def allocation():
 def live_sweep():
     print("=== Fig. 9 in miniature: the DF trade-off, live ===\n")
     trace = haggle_like(scale=0.04, seed=3)
-    config = ExperimentConfig(min_rate_per_s=1 / 3600.0)
-    results = df_sweep(
-        trace, df_values_per_min=(0.0, 0.25, 1.0, 2.0),
-        ttl_min=600.0, base_config=config,
-    )
+    spec = ExperimentSpec(ttl_min=600.0, min_rate_per_s=1 / 3600.0)
+    results = sweep(trace, spec, df_per_min=(0.0, 0.25, 1.0, 2.0))
     rows = [
         [
             r.decay_factor_per_min,

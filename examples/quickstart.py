@@ -10,8 +10,8 @@ metrics registry).
 Run:  python examples/quickstart.py
 """
 
+from repro import ExperimentSpec, run
 from repro.core import HashFamily, TemporalCountingBloomFilter
-from repro.experiments import ExperimentConfig, run_experiment
 from repro.obs import Observability
 from repro.traces import haggle_like
 
@@ -62,9 +62,9 @@ def mini_simulation():
     print("\n=== 2. A complete B-SUB run ===\n")
     trace = haggle_like(scale=0.05, seed=1)  # 79 nodes, ~3.4k contacts
     print(f"trace: {trace}")
-    config = ExperimentConfig(ttl_min=600.0, min_rate_per_s=1 / 3600.0)
+    spec = ExperimentSpec(ttl_min=600.0, min_rate_per_s=1 / 3600.0)
     for protocol in ("PUSH", "B-SUB", "PULL"):
-        result = run_experiment(trace, protocol, config)
+        result = run(trace, spec.with_protocol(protocol))
         s = result.summary
         print(
             f"  {protocol:6s}  delivery={s.delivery_ratio:5.3f}  "
@@ -82,11 +82,11 @@ def traced_run():
     # Tiny 32-bit filters make Bloom false positives — and hence
     # `false_injection` events — actually occur at this scale.
     trace = haggle_like(scale=0.01, seed=3)
-    config = ExperimentConfig(
+    spec = ExperimentSpec(
         ttl_min=120.0, min_rate_per_s=1 / 1800.0, num_bits=32, num_hashes=2
     )
     obs = Observability.enabled()
-    run_experiment(trace, "B-SUB", config, obs=obs)
+    run(trace, spec, obs=obs)
 
     counts = obs.tracer.counts()
     print("events per type:")

@@ -12,14 +12,8 @@ Run:  python examples/twitter_dissemination.py  [scale]
 
 import sys
 
-from repro.experiments import (
-    ExperimentConfig,
-    figure_series,
-    format_table_ii,
-    run_experiment,
-    series_table,
-    ttl_sweep,
-)
+from repro import ExperimentSpec, sweep
+from repro.experiments import figure_series, format_table_ii, series_table
 from repro.traces import haggle_like
 from repro.workload import assign_interests, consumers_of, twitter_trends_2009
 
@@ -42,18 +36,18 @@ def main(scale: float = 0.05):
 
     # The Fig. 7 sweep at three TTLs.
     ttls = (30.0, 300.0, 1000.0)
-    config = ExperimentConfig(min_rate_per_s=1 / 3600.0)
-    sweep = ttl_sweep(trace, ttl_values_min=ttls, base_config=config)
+    spec = ExperimentSpec(min_rate_per_s=1 / 3600.0)
+    results = sweep(trace, spec, ttl_min=ttls)
     for metric, label in [
         ("delivery_ratio", "Delivery ratio"),
         ("delay_min", "Delay (minutes)"),
         ("forwardings", "Forwardings per delivered message"),
     ]:
-        print(series_table("TTL(min)", ttls, figure_series(sweep, metric),
+        print(series_table("TTL(min)", ttls, figure_series(results, metric),
                            title=label))
         print()
 
-    bsub = sweep["B-SUB"][-1]
+    bsub = results["B-SUB"][-1]
     print(f"B-SUB used DF = {bsub.decay_factor_per_min:.3f}/min (Eq. 5, "
           f"τ = TTL) and elected {bsub.broker_fraction:.0%} of nodes as "
           "brokers.")

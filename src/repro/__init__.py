@@ -60,7 +60,7 @@ from .pubsub import (
     PushProtocol,
 )
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "BloomFilter",

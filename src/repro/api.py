@@ -11,34 +11,22 @@ This facade is the supported way to run experiments::
 One frozen :class:`ExperimentSpec` carries the protocol name, every
 simulation knob, and an optional :class:`~repro.faults.FaultSpec`; the
 entry points :func:`run`, :func:`sweep`, :func:`replicate`, and
-:func:`resilience` take (trace, spec) and delegate to the experiment
-harness.  The legacy free-function signatures
-(``run_experiment`` / ``ttl_sweep`` / ``df_sweep`` / ``run_replicated``)
-still work but emit :class:`DeprecationWarning`.
+:func:`resilience` each take (trace, spec) and are the experiment
+harness's own implementations, re-exported here.  :func:`serve` and
+:func:`load` run the live broker and its load driver from a
+:class:`ServeSpec` / :class:`LoadSpec`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional
 
-from .dtn.bandwidth import BLUETOOTH_EFFECTIVE_BPS
-from .experiments.config import ExperimentConfig
-from .experiments.replication import ReplicatedResult, _run_replicated
-from .experiments.resilience import ResilienceReport, resilience_report
-from .experiments.runner import (
-    ALL_PROTOCOLS,
-    PROTOCOL_NAMES,
-    RunResult,
-    _run_experiment,
-)
-from .experiments.sweeps import _df_sweep, _ttl_sweep
-from .faults.spec import FaultSpec
-from .obs import Observability
-from .pubsub.adaptive import AdaptiveDecayConfig
+from .experiments.config import ExperimentSpec
+from .experiments.replication import replicate
+from .experiments.resilience import resilience
+from .experiments.runner import run
+from .experiments.sweeps import sweep
 from .serve.spec import LoadSpec, ServeSpec
-from .traces.model import ContactTrace
-from .workload.keys import KeyDistribution
 
 __all__ = [
     "ExperimentSpec",
@@ -51,238 +39,6 @@ __all__ = [
     "serve",
     "sweep",
 ]
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Everything one experiment needs, as a single typed value.
-
-    Field-for-field this mirrors
-    :class:`~repro.experiments.config.ExperimentConfig` plus the
-    protocol name, with one renaming: the decay factor is ``df_per_min``
-    (the paper's DF), not ``decay_factor_per_min``.  ``None`` keeps the
-    Eq. 5 automatic derivation.  Specs are frozen — derive variants with
-    :func:`dataclasses.replace` or the ``with_*`` helpers.
-    """
-
-    protocol: str = "B-SUB"
-    ttl_min: float = 600.0
-    df_per_min: Optional[float] = None  # None → derive via Eq. 5
-    num_bits: int = 256
-    num_hashes: int = 4
-    initial_value: float = 50.0
-    copy_limit: int = 3
-    election_lower: int = 3
-    election_upper: int = 5
-    election_window_s: float = 5 * 3600.0
-    rate_bps: Optional[float] = BLUETOOTH_EFFECTIVE_BPS
-    min_rate_per_s: float = 1.0 / 1800.0
-    interests_per_node: int = 1
-    keys_per_message: int = 1
-    workload_seed: int = 7
-    interest_seed: int = 11
-    df_delta_per_min: float = 0.01
-    broker_broker_additive_merge: bool = False
-    static_brokers: Optional[Tuple[int, ...]] = None
-    relay_fill_threshold: Optional[float] = None
-    relay_max_filters: Optional[int] = None
-    adaptive_df: Optional[AdaptiveDecayConfig] = None
-    carried_capacity: Optional[int] = None
-    eviction: str = "oldest"
-    push_buffer_capacity: Optional[int] = None
-    push_summary_exchange: str = "free"
-    spray_copies: int = 8
-    interest_encoding: str = "tcbf"
-    #: Relay filter backend spec (:mod:`repro.core.filter_zoo`), e.g.
-    #: ``"multi:mem=384"`` or ``"countbf:rows=16"``; ``None`` keeps the
-    #: paper's single array-backed TCBF relay.
-    filter_spec: Optional[str] = None
-    #: Fault-injection model; ``None`` (or an all-zero spec) runs the
-    #: exact fault-free code path.
-    faults: Optional[FaultSpec] = None
-    #: Simulator shard count (bit-deterministic; see
-    #: :class:`~repro.experiments.config.ExperimentConfig.shards`).
-    shards: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.protocol not in ALL_PROTOCOLS:
-            raise ValueError(
-                f"unknown protocol {self.protocol!r}; "
-                f"expected one of {ALL_PROTOCOLS}"
-            )
-        if self.faults is not None and not isinstance(self.faults, FaultSpec):
-            raise TypeError(
-                f"faults must be a FaultSpec or None, "
-                f"got {type(self.faults).__name__}"
-            )
-
-    # -- conversion ---------------------------------------------------------
-
-    def to_config(self) -> ExperimentConfig:
-        """The equivalent :class:`ExperimentConfig` (drops ``protocol``)."""
-        values = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in ("protocol", "df_per_min")
-        }
-        return ExperimentConfig(
-            decay_factor_per_min=self.df_per_min, **values
-        )
-
-    @classmethod
-    def from_config(
-        cls, config: ExperimentConfig, protocol: str = "B-SUB"
-    ) -> "ExperimentSpec":
-        """Lift a legacy config (plus a protocol name) into a spec."""
-        values = {
-            f.name: getattr(config, f.name)
-            for f in fields(ExperimentConfig)
-            if f.name != "decay_factor_per_min"
-        }
-        return cls(
-            protocol=protocol,
-            df_per_min=config.decay_factor_per_min,
-            **values,
-        )
-
-    # -- derivation helpers -------------------------------------------------
-
-    def with_protocol(self, protocol: str) -> "ExperimentSpec":
-        return replace(self, protocol=protocol)
-
-    def with_ttl(self, ttl_min: float) -> "ExperimentSpec":
-        return replace(self, ttl_min=ttl_min)
-
-    def with_df(self, df_per_min: Optional[float]) -> "ExperimentSpec":
-        return replace(self, df_per_min=df_per_min)
-
-    def with_faults(self, faults: Optional[FaultSpec]) -> "ExperimentSpec":
-        return replace(self, faults=faults)
-
-    def with_shards(self, shards: Optional[int]) -> "ExperimentSpec":
-        return replace(self, shards=shards)
-
-
-def run(
-    trace: ContactTrace,
-    spec: Optional[ExperimentSpec] = None,
-    *,
-    distribution: Optional[KeyDistribution] = None,
-    obs: Optional[Observability] = None,
-) -> RunResult:
-    """Run one simulation described by *spec* on *trace*.
-
-    The default spec is B-SUB under the paper's Sec. VII-A settings.
-    Pass an :class:`~repro.obs.Observability` bundle to trace/meter the
-    run; it never changes results.
-    """
-    spec = spec or ExperimentSpec()
-    return _run_experiment(
-        trace, spec.protocol, spec.to_config(), distribution, obs
-    )
-
-
-def sweep(
-    trace: ContactTrace,
-    spec: Optional[ExperimentSpec] = None,
-    *,
-    ttl_min: Optional[Sequence[float]] = None,
-    df_per_min: Optional[Sequence[float]] = None,
-    protocols: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
-    distribution: Optional[KeyDistribution] = None,
-):
-    """Sweep one axis: TTL (Figs. 7–8) or DF (Fig. 9).
-
-    Exactly one of ``ttl_min`` / ``df_per_min`` must be given.
-
-    * ``ttl_min=[...]`` runs every protocol in *protocols* (default:
-      the paper's PUSH / B-SUB / PULL) at every TTL and returns
-      ``{protocol: [RunResult, ...]}`` ordered like the sweep values.
-    * ``df_per_min=[...]`` runs B-SUB at ``spec.ttl_min`` for each
-      explicit DF and returns ``[RunResult, ...]``; *protocols* is not
-      accepted on this axis (Fig. 9 is B-SUB only).
-
-    ``jobs`` fans the grid across processes (<=0 → all CPUs, default
-    serial); results are identical to the serial path.
-    """
-    if (ttl_min is None) == (df_per_min is None):
-        raise TypeError("pass exactly one of ttl_min=... or df_per_min=...")
-    spec = spec or ExperimentSpec()
-    base = spec.to_config()
-    if ttl_min is not None:
-        return _ttl_sweep(
-            trace,
-            ttl_values_min=tuple(ttl_min),
-            protocols=tuple(protocols) if protocols else PROTOCOL_NAMES,
-            base_config=base,
-            distribution=distribution,
-            jobs=jobs,
-        )
-    if protocols is not None:
-        raise TypeError(
-            "protocols is only valid for a TTL sweep; "
-            "the DF sweep runs B-SUB only"
-        )
-    return _df_sweep(
-        trace,
-        df_values_per_min=tuple(df_per_min),
-        ttl_min=spec.ttl_min,
-        base_config=base,
-        distribution=distribution,
-        jobs=jobs,
-    )
-
-
-def replicate(
-    trace_factory: Callable[[int], ContactTrace],
-    spec: Optional[ExperimentSpec] = None,
-    *,
-    seeds: Sequence[int] = (0, 1, 2),
-    jobs: Optional[int] = None,
-    distribution: Optional[KeyDistribution] = None,
-) -> ReplicatedResult:
-    """Run *spec* once per seed and aggregate into mean ± std.
-
-    Each seed regenerates the trace via ``trace_factory(seed)`` and
-    shifts the workload/interest seeds, so replications are independent
-    realisations of the same configuration.
-    """
-    spec = spec or ExperimentSpec()
-    return _run_replicated(
-        trace_factory,
-        spec.protocol,
-        spec.to_config(),
-        seeds,
-        distribution,
-        jobs,
-    )
-
-
-def resilience(
-    trace: ContactTrace,
-    spec: ExperimentSpec,
-    *,
-    distribution: Optional[KeyDistribution] = None,
-    obs: Optional[Observability] = None,
-) -> ResilienceReport:
-    """Run *spec* (which must enable faults) plus its fault-free twin.
-
-    Returns a :class:`~repro.experiments.resilience.ResilienceReport`
-    comparing delivery and cost against the identical-workload twin.
-    """
-    if spec.faults is None or not spec.faults.enabled:
-        raise ValueError(
-            "resilience() needs a spec with an enabled FaultSpec; "
-            "use run() for fault-free experiments"
-        )
-    return resilience_report(
-        trace,
-        spec.protocol,
-        spec.to_config(),
-        distribution=distribution,
-        obs=obs,
-    )
 
 
 def serve(

@@ -49,7 +49,6 @@ from .experiments import (
     format_observability,
     PAPER_DF_VALUES_PER_MIN,
     PAPER_TTL_VALUES_MIN,
-    ExperimentConfig,
     figure_series,
     format_table,
     format_table_i,
@@ -178,14 +177,14 @@ def _add_shards(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _config(args, **overrides) -> ExperimentConfig:
+def _spec(args, **overrides) -> ExperimentSpec:
     defaults = dict(min_rate_per_s=args.min_rate)
     if getattr(args, "shards", None):
         defaults["shards"] = args.shards
     if getattr(args, "filter_spec", None):
         defaults["filter_spec"] = args.filter_spec
     defaults.update(overrides)
-    return ExperimentConfig(**defaults)
+    return ExperimentSpec(**defaults)
 
 
 def _cmd_passive(args, trace: ContactTrace) -> int:
@@ -249,12 +248,11 @@ def _cmd_run(args) -> int:
             _print_profile(profiler)
         return code
     faults = FaultSpec.parse(args.faults) if args.faults else None
-    config = _config(
-        args, ttl_min=args.ttl_min, decay_factor_per_min=args.df,
-        num_bits=args.num_bits, num_hashes=args.num_hashes,
-        faults=faults,
+    spec = _spec(
+        args, protocol=args.protocol, ttl_min=args.ttl_min,
+        df_per_min=args.df, num_bits=args.num_bits,
+        num_hashes=args.num_hashes, faults=faults,
     )
-    spec = ExperimentSpec.from_config(config, protocol=args.protocol)
     observing = args.trace_out or args.metrics_out
     obs = Observability.enabled() if observing else None
     report = None
@@ -430,8 +428,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_sweep_ttl(args) -> int:
     trace = _resolve_trace(args)
     ttls = args.ttl or list(PAPER_TTL_VALUES_MIN)
-    spec = ExperimentSpec.from_config(_config(args))
-    results = sweep(trace, spec, ttl_min=ttls, jobs=args.jobs)
+    results = sweep(trace, _spec(args), ttl_min=ttls, jobs=args.jobs)
     for metric, title in [
         ("delivery_ratio", "Delivery ratio"),
         ("delay_min", "Delay (minutes)"),
@@ -449,7 +446,7 @@ def _cmd_sweep_ttl(args) -> int:
 def _cmd_sweep_df(args) -> int:
     trace = _resolve_trace(args)
     dfs = args.df_values or list(PAPER_DF_VALUES_PER_MIN)
-    spec = ExperimentSpec.from_config(_config(args, ttl_min=args.ttl_min))
+    spec = _spec(args, ttl_min=args.ttl_min)
     results = sweep(trace, spec, df_per_min=dfs, jobs=args.jobs)
     for metric, title in [
         ("delivery_ratio", "Delivery ratio"),

@@ -1,4 +1,4 @@
-"""Keyword-alias resolution for filter parameters + deprecation ledger.
+"""Keyword-alias resolution for filter and spec parameters.
 
 The paper writes filter geometry as ``m`` (bits) and ``k`` (hash
 functions) and the decay factor as ``DF``; the library spells them
@@ -7,32 +7,20 @@ accept both: the canonical name and a keyword-only paper-style alias
 (``m`` / ``k`` / ``df``).  Passing both spellings explicitly is a
 ``TypeError`` — silently preferring one would hide a caller bug.
 
-Spec ``parse()`` grammars (``ExperimentSpec``, ``ServeSpec``,
-``LoadSpec``) share the same aliasing through :data:`SPEC_KEY_ALIASES`
-/ :func:`canonical_spec_key`, so ``m=1024`` and ``num_bits=1024`` mean
+Spec ``parse()`` grammars (``ServeSpec``, ``LoadSpec``) share the
+same aliasing through :data:`SPEC_KEY_ALIASES` /
+:func:`canonical_spec_key`, so ``m=1024`` and ``num_bits=1024`` mean
 the same thing in every ``key=value`` string the CLI accepts.
-
-This module is also the single home of the legacy-API removal
-schedule: every ``DeprecationWarning`` shim left by the PR-3 facade
-redesign (``run_experiment`` / ``ttl_sweep`` / ``df_sweep`` /
-``run_replicated``) registers here with the release it disappears in,
-and warns through :func:`warn_deprecated` so the message format — and
-the ``"is deprecated; use repro.api"`` substring that pyproject's
-filterwarnings and the test suite both match on — stays identical
-across all of them.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional, TypeVar
 
 __all__ = [
     "resolve_param",
     "SPEC_KEY_ALIASES",
     "canonical_spec_key",
-    "DEPRECATION_SCHEDULE",
-    "warn_deprecated",
 ]
 
 T = TypeVar("T")
@@ -56,36 +44,6 @@ def canonical_spec_key(key: str) -> str:
     key the caller actually typed.
     """
     return SPEC_KEY_ALIASES.get(key, key)
-
-
-#: Legacy entry point -> (replacement call, version deprecated since,
-#: version scheduled for removal).  One table so the removal release is
-#: decided — and documented — in exactly one place.
-DEPRECATION_SCHEDULE: Dict[str, tuple] = {
-    "run_experiment": ("repro.api.run(trace, ExperimentSpec(...))", "1.1.0", "2.0.0"),
-    "ttl_sweep": ("repro.api.sweep(trace, spec, ttl_min=[...])", "1.1.0", "2.0.0"),
-    "df_sweep": ("repro.api.sweep(trace, spec, df_per_min=[...])", "1.1.0", "2.0.0"),
-    "run_replicated": (
-        "repro.api.replicate(trace_factory, spec, seeds=...)", "1.1.0", "2.0.0",
-    ),
-}
-
-
-def warn_deprecated(name: str, *, stacklevel: int = 3) -> None:
-    """Emit the scheduled :class:`DeprecationWarning` for *name*.
-
-    The message keeps the load-bearing ``"is deprecated; use
-    repro.api"`` substring (pyproject's filterwarnings and
-    ``tests/test_api.py`` both match on it) and appends the removal
-    schedule from :data:`DEPRECATION_SCHEDULE`.
-    """
-    replacement, since, removal = DEPRECATION_SCHEDULE[name]
-    warnings.warn(
-        f"{name}() is deprecated; use {replacement} instead "
-        f"(deprecated since {since}, removal scheduled for {removal})",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
 
 
 def resolve_param(

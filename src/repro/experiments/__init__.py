@@ -1,14 +1,20 @@
-"""Experiment harness: configs, runner, sweeps, and report formatting."""
+"""Experiment harness: the spec, runner, sweeps, and report formatting.
+
+The entry points (``run``, ``sweep``, ``replicate``, ``resilience``)
+live in this package's modules and are published by :mod:`repro.api`.
+"""
 
 from .config import (
+    ALL_PROTOCOLS,
     DF_SWEEP_TTL_MIN,
     PAPER_DF_VALUES_PER_MIN,
     PAPER_TTL_VALUES_MIN,
-    ExperimentConfig,
+    PROTOCOL_NAMES,
+    ExperimentSpec,
 )
 from .parallel import RunTask, execute_tasks, resolve_jobs
-from .replication import MetricStats, ReplicatedResult, run_replicated
-from .resilience import ResilienceReport, resilience_report
+from .replication import MetricStats, ReplicatedResult
+from .resilience import ResilienceReport
 from .report import (
     ascii_chart,
     figure_series,
@@ -17,15 +23,7 @@ from .report import (
     metric_series,
     series_table,
 )
-from .runner import (
-    ALL_PROTOCOLS,
-    PROTOCOL_NAMES,
-    RunResult,
-    average_peers_met_within,
-    derive_decay_factor,
-    run_experiment,
-)
-from .sweeps import df_sweep, ttl_sweep
+from .runner import RunResult, average_peers_met_within, derive_decay_factor
 from .tables import (
     PAPER_TABLE_I,
     format_table_i,
@@ -36,7 +34,7 @@ from .tables import (
 
 __all__ = [
     "DF_SWEEP_TTL_MIN",
-    "ExperimentConfig",
+    "ExperimentSpec",
     "PAPER_DF_VALUES_PER_MIN",
     "PAPER_TABLE_I",
     "PAPER_TTL_VALUES_MIN",
@@ -50,7 +48,6 @@ __all__ = [
     "ascii_chart",
     "average_peers_met_within",
     "derive_decay_factor",
-    "df_sweep",
     "execute_tasks",
     "figure_series",
     "format_observability",
@@ -58,12 +55,8 @@ __all__ = [
     "format_table_i",
     "format_table_ii",
     "metric_series",
-    "resilience_report",
     "resolve_jobs",
-    "run_experiment",
-    "run_replicated",
     "series_table",
     "table_i_rows",
     "table_ii_rows",
-    "ttl_sweep",
 ]

@@ -1,7 +1,8 @@
-"""Experiment configuration (the paper's Sec. VII-A settings).
+"""Experiment specification (the paper's Sec. VII-A settings).
 
-Centralises every simulation parameter the paper states, so each
-figure/table bench references one source of truth.
+:class:`ExperimentSpec` is the one value every experiment entry point
+takes: the protocol name plus every simulation parameter the paper
+states, so each figure/table bench references one source of truth.
 """
 
 from __future__ import annotations
@@ -14,11 +15,18 @@ from ..faults.spec import FaultSpec
 from ..pubsub.adaptive import AdaptiveDecayConfig
 
 __all__ = [
+    "ALL_PROTOCOLS",
+    "PROTOCOL_NAMES",
     "PAPER_TTL_VALUES_MIN",
     "PAPER_DF_VALUES_PER_MIN",
     "DF_SWEEP_TTL_MIN",
-    "ExperimentConfig",
+    "ExperimentSpec",
 ]
+
+#: The paper's three protocols; "SPRAY" (an extension baseline) is
+#: also accepted as ``ExperimentSpec.protocol``.
+PROTOCOL_NAMES = ("PUSH", "B-SUB", "PULL")
+ALL_PROTOCOLS = ("PUSH", "B-SUB", "PULL", "SPRAY")
 
 #: TTL sweep points in minutes (the paper's log-scaled 10…1000 axis).
 PAPER_TTL_VALUES_MIN: Tuple[float, ...] = (10.0, 30.0, 100.0, 300.0, 1000.0)
@@ -34,18 +42,22 @@ DF_SWEEP_TTL_MIN: float = 20.0 * 60.0
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """All knobs of one simulation run.
+class ExperimentSpec:
+    """Everything one experiment needs, as a single typed value.
 
-    Defaults are the paper's settings: 256-bit filters with 4 hashes,
-    C = 50, ℂ = 3, election thresholds 3/5 with a 5-hour window,
-    250 Kbps effective bandwidth, minimum message rate 1 per 30 min,
-    single-key messages of ≤ 140 bytes, one interest per node drawn
-    from the Table II distribution.
+    Defaults are the paper's settings: B-SUB with 256-bit filters and
+    4 hashes, C = 50, ℂ = 3, election thresholds 3/5 with a 5-hour
+    window, 250 Kbps effective bandwidth, minimum message rate 1 per
+    30 min, single-key messages of ≤ 140 bytes, one interest per node
+    drawn from the Table II distribution.  ``df_per_min`` is the
+    paper's DF; ``None`` derives it from Eq. 5.  Specs are frozen —
+    derive variants with :func:`dataclasses.replace` or the ``with_*``
+    helpers.
     """
 
+    protocol: str = "B-SUB"
     ttl_min: float = 600.0
-    decay_factor_per_min: Optional[float] = None  # None → derive via Eq. 5
+    df_per_min: Optional[float] = None  # None → derive via Eq. 5
     num_bits: int = 256
     num_hashes: int = 4
     initial_value: float = 50.0
@@ -84,18 +96,33 @@ class ExperimentConfig:
     #: mmap dataset), active protocols replay the windows serially.
     shards: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if self.protocol not in ALL_PROTOCOLS:
+            raise ValueError(
+                f"unknown protocol {self.protocol!r}; "
+                f"expected one of {ALL_PROTOCOLS}"
+            )
+        if self.faults is not None and not isinstance(self.faults, FaultSpec):
+            raise TypeError(
+                f"faults must be a FaultSpec or None, "
+                f"got {type(self.faults).__name__}"
+            )
+
     @property
     def ttl_s(self) -> float:
         return self.ttl_min * 60.0
 
-    def with_ttl(self, ttl_min: float) -> "ExperimentConfig":
+    def with_protocol(self, protocol: str) -> "ExperimentSpec":
+        return replace(self, protocol=protocol)
+
+    def with_ttl(self, ttl_min: float) -> "ExperimentSpec":
         return replace(self, ttl_min=ttl_min)
 
-    def with_df(self, df_per_min: Optional[float]) -> "ExperimentConfig":
-        return replace(self, decay_factor_per_min=df_per_min)
+    def with_df(self, df_per_min: Optional[float]) -> "ExperimentSpec":
+        return replace(self, df_per_min=df_per_min)
 
-    def with_faults(self, faults: Optional[FaultSpec]) -> "ExperimentConfig":
+    def with_faults(self, faults: Optional[FaultSpec]) -> "ExperimentSpec":
         return replace(self, faults=faults)
 
-    def with_shards(self, shards: Optional[int]) -> "ExperimentConfig":
+    def with_shards(self, shards: Optional[int]) -> "ExperimentSpec":
         return replace(self, shards=shards)

@@ -1,14 +1,14 @@
 """Parallel execution of independent simulation runs.
 
 Sweeps (Figs. 7–9) and multi-seed replications are embarrassingly
-parallel: every (trace, protocol, config) cell is an independent
-simulation whose workload is derived deterministically from the config
-seeds.  This module fans those cells across a
+parallel: every (trace, spec) cell is an independent simulation whose
+workload is derived deterministically from the spec seeds.  This
+module fans those cells across a
 :class:`~concurrent.futures.ProcessPoolExecutor` while keeping results
 bit-identical to the serial path:
 
 * tasks are materialised in the parent process in the same order the
-  serial loops would visit them (including any per-seed config
+  serial loops would visit them (including any per-seed spec
   derivation and trace construction), so scheduling cannot perturb the
   workload;
 * ``ProcessPoolExecutor.map`` returns results in submission order, so
@@ -37,8 +37,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..traces.model import ContactTrace
 from ..workload.keys import KeyDistribution
-from .config import ExperimentConfig
-from .runner import RunResult, _run_experiment
+from .config import ExperimentSpec
+from .runner import RunResult, run
 
 __all__ = [
     "RunTask",
@@ -52,14 +52,13 @@ __all__ = [
 class RunTask:
     """One fully specified simulation run, ready to ship to a worker.
 
-    Everything here pickles: traces and configs are plain dataclasses
+    Everything here pickles: traces and specs are plain dataclasses
     and the distribution is a value object, so a task can cross a
     process boundary without losing determinism.
     """
 
     trace: ContactTrace
-    protocol_name: str
-    config: ExperimentConfig
+    spec: ExperimentSpec
     distribution: Optional[KeyDistribution] = field(default=None)
 
 
@@ -91,9 +90,7 @@ def resolve_jobs(jobs: Optional[int], shards: int = 1) -> int:
 
 
 def _execute(task: RunTask) -> RunResult:
-    return _run_experiment(
-        task.trace, task.protocol_name, task.config, task.distribution
-    )
+    return run(task.trace, task.spec, distribution=task.distribution)
 
 
 def _passive_shard(
@@ -101,10 +98,10 @@ def _passive_shard(
 ) -> Dict[str, Any]:
     """Worker: re-open one row range of a dataset and reduce it."""
     from ..dtn.simulator import passive_partial
-    from ..traces.backends import MmapContactStore
+    from ..traces.backends import ColumnarContactStore
 
     source, lo, hi, rate_bps = args
-    return passive_partial(MmapContactStore.open(source, lo, hi), rate_bps)
+    return passive_partial(ColumnarContactStore.open(source, lo, hi), rate_bps)
 
 
 def run_passive_shards(
@@ -141,7 +138,7 @@ def execute_tasks(
     """
     tasks = list(tasks)
     shards = max(
-        ((task.config.shards or 1) for task in tasks), default=1
+        ((task.spec.shards or 1) for task in tasks), default=1
     )
     jobs = resolve_jobs(jobs, shards)
     if jobs == 1 or len(tasks) <= 1:

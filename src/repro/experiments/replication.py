@@ -13,14 +13,13 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..core.params import warn_deprecated
 from ..traces.model import ContactTrace
 from ..workload.keys import KeyDistribution
-from .config import ExperimentConfig
+from .config import ExperimentSpec
 from .parallel import RunTask, execute_tasks
 from .runner import RunResult
 
-__all__ = ["MetricStats", "ReplicatedResult", "run_replicated"]
+__all__ = ["MetricStats", "ReplicatedResult", "replicate"]
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ def _stats(values: Sequence[float]) -> MetricStats:
 
 @dataclass(frozen=True)
 class ReplicatedResult:
-    """Aggregated metrics of one (trace family, protocol, config) cell."""
+    """Aggregated metrics of one (trace family, spec) cell."""
 
     protocol: str
     metrics: Dict[str, MetricStats]
@@ -60,48 +59,33 @@ class ReplicatedResult:
         return self.metrics[metric]
 
 
-def run_replicated(
+def replicate(
     trace_factory: Callable[[int], ContactTrace],
-    protocol_name: str,
-    config: Optional[ExperimentConfig] = None,
+    spec: Optional[ExperimentSpec] = None,
+    *,
     seeds: Sequence[int] = (0, 1, 2),
-    distribution: Optional[KeyDistribution] = None,
     jobs: Optional[int] = None,
-) -> ReplicatedResult:
-    """Deprecated alias for :func:`repro.api.replicate` (same behaviour)."""
-    warn_deprecated("run_replicated")
-    return _run_replicated(
-        trace_factory, protocol_name, config, seeds, distribution, jobs
-    )
-
-
-def _run_replicated(
-    trace_factory: Callable[[int], ContactTrace],
-    protocol_name: str,
-    config: Optional[ExperimentConfig] = None,
-    seeds: Sequence[int] = (0, 1, 2),
     distribution: Optional[KeyDistribution] = None,
-    jobs: Optional[int] = None,
 ) -> ReplicatedResult:
-    """Run an experiment once per seed and aggregate.
+    """Run *spec* once per seed and aggregate into mean ± std.
 
     Each seed regenerates the trace via *trace_factory(seed)* and
     shifts the workload/interest seeds, so replications are fully
     independent realisations of the same configuration.  Traces and
-    per-seed configs are derived in the parent process (in seed order)
+    per-seed specs are derived in the parent process (in seed order)
     before any fan-out, so ``jobs`` never changes the results.
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    config = config or ExperimentConfig()
+    spec = spec or ExperimentSpec()
     tasks: List[RunTask] = []
     for seed in seeds:
         seeded = replace(
-            config,
-            workload_seed=config.workload_seed + 1000 * seed,
-            interest_seed=config.interest_seed + 1000 * seed,
+            spec,
+            workload_seed=spec.workload_seed + 1000 * seed,
+            interest_seed=spec.interest_seed + 1000 * seed,
         )
-        tasks.append(RunTask(trace_factory(seed), protocol_name, seeded, distribution))
+        tasks.append(RunTask(trace_factory(seed), seeded, distribution))
     runs: List[RunResult] = execute_tasks(tasks, jobs=jobs)
     metrics = {
         "delivery_ratio": _stats([r.summary.delivery_ratio for r in runs]),
@@ -114,4 +98,4 @@ def _run_replicated(
         ),
         "broker_fraction": _stats([r.broker_fraction for r in runs]),
     }
-    return ReplicatedResult(protocol=protocol_name, metrics=metrics, runs=runs)
+    return ReplicatedResult(protocol=spec.protocol, metrics=metrics, runs=runs)

@@ -1,25 +1,25 @@
 """Degradation accounting: a faulted run vs. its fault-free twin.
 
 A :class:`ResilienceReport` pairs one faulted run with a *twin* run of
-the identical (trace, protocol, config) cell with the fault layer
-removed.  Because workload and interests derive deterministically from
-the config seeds, the two runs see the same messages and subscriptions
-— every metric delta is attributable to the injected faults alone.
+the identical (trace, spec) cell with the fault layer removed.  Because
+workload and interests derive deterministically from the spec seeds,
+the two runs see the same messages and subscriptions — every metric
+delta is attributable to the injected faults alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..obs import Observability
 from ..traces.model import ContactTrace
 from ..workload.keys import KeyDistribution
-from .config import ExperimentConfig
-from .runner import RunResult, _run_experiment
+from .config import ExperimentSpec
+from .runner import RunResult, run
 
-__all__ = ["ResilienceReport", "resilience_report"]
+__all__ = ["ResilienceReport", "resilience"]
 
 
 def _ratio(faulted: float, baseline: float) -> float:
@@ -98,25 +98,25 @@ class ResilienceReport:
         return rows
 
 
-def resilience_report(
+def resilience(
     trace: ContactTrace,
-    protocol_name: str,
-    config: ExperimentConfig,
+    spec: ExperimentSpec,
+    *,
     distribution: Optional[KeyDistribution] = None,
     obs: Optional[Observability] = None,
 ) -> ResilienceReport:
-    """Run *config* (which should carry faults) and its fault-free twin.
+    """Run *spec* (which must enable faults) plus its fault-free twin.
 
-    The observability bundle, when given, traces only the faulted run —
-    the twin is a reference measurement, not the experiment.
+    Returns a :class:`ResilienceReport` comparing delivery and cost
+    against the identical-workload twin.  The observability bundle,
+    when given, traces only the faulted run — the twin is a reference
+    measurement, not the experiment.
     """
-    if config.faults is None or not config.faults.enabled:
+    if spec.faults is None or not spec.faults.enabled:
         raise ValueError(
-            "resilience_report() needs a config with an enabled FaultSpec; "
-            "for fault-free runs use repro.api.run()"
+            "resilience() needs a spec with an enabled FaultSpec; "
+            "use run() for fault-free experiments"
         )
-    faulted = _run_experiment(trace, protocol_name, config, distribution, obs)
-    baseline = _run_experiment(
-        trace, protocol_name, replace(config, faults=None), distribution
-    )
+    faulted = run(trace, spec, distribution=distribution, obs=obs)
+    baseline = run(trace, spec.with_faults(None), distribution=distribution)
     return ResilienceReport(faulted=faulted, baseline=baseline)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional
 
 from ..core.analysis import expected_unique_keys, recommended_decay_factor
-from ..core.params import warn_deprecated
 from ..dtn.simulator import Simulation, SimulationReport
 from ..faults.plan import FaultPlan
 from ..obs import NULL_RECORDER, Observability
@@ -26,21 +25,14 @@ from ..traces.model import ContactTrace
 from ..workload.generator import WorkloadConfig, generate_message_events
 from ..workload.interests import assign_interests
 from ..workload.keys import KeyDistribution, twitter_trends_2009
-from .config import ExperimentConfig
+from .config import ALL_PROTOCOLS, ExperimentSpec
 
 __all__ = [
-    "ALL_PROTOCOLS",
     "RunResult",
     "average_peers_met_within",
     "derive_decay_factor",
-    "run_experiment",
-    "PROTOCOL_NAMES",
+    "run",
 ]
-
-#: The paper's three protocols; "SPRAY" (an extension baseline) is
-#: also accepted by :func:`run_experiment`.
-PROTOCOL_NAMES = ("PUSH", "B-SUB", "PULL")
-ALL_PROTOCOLS = ("PUSH", "B-SUB", "PULL", "SPRAY")
 
 
 @dataclass(frozen=True)
@@ -86,7 +78,7 @@ def average_peers_met_within(trace: ContactTrace, window_s: float) -> float:
 
 def derive_decay_factor(
     trace: ContactTrace,
-    config: ExperimentConfig,
+    spec: ExperimentSpec,
     distribution: Optional[KeyDistribution] = None,
 ) -> float:
     """Eq. 5's DF (per minute) for ``τ = TTL`` on this trace.
@@ -97,63 +89,63 @@ def derive_decay_factor(
     ``interests_per_node`` keys.
     """
     distribution = distribution or twitter_trends_2009()
-    peers = average_peers_met_within(trace, config.ttl_s)
-    collected = peers * config.interests_per_node
+    peers = average_peers_met_within(trace, spec.ttl_s)
+    collected = peers * spec.interests_per_node
     unique = expected_unique_keys(collected, weights=distribution.weights)
     return recommended_decay_factor(
-        delay_limit=config.ttl_min,
-        initial_value=config.initial_value,
+        delay_limit=spec.ttl_min,
+        initial_value=spec.initial_value,
         num_keys=max(1, round(unique)),
-        num_bits=config.num_bits,
-        num_hashes=config.num_hashes,
-        delta=config.df_delta_per_min,
+        num_bits=spec.num_bits,
+        num_hashes=spec.num_hashes,
+        delta=spec.df_delta_per_min,
     )
 
 
 def _build_protocol(
-    name: str,
     interests: Dict[int, FrozenSet[str]],
     metrics: MetricsCollector,
-    config: ExperimentConfig,
+    spec: ExperimentSpec,
     decay_factor_per_min: float,
     recorder=NULL_RECORDER,
     registry=None,
 ):
+    name = spec.protocol
     if name == "PUSH":
         return PushProtocol(
             interests,
             metrics,
-            buffer_capacity=config.push_buffer_capacity,
-            summary_exchange=config.push_summary_exchange,
+            buffer_capacity=spec.push_buffer_capacity,
+            summary_exchange=spec.push_summary_exchange,
         )
     if name == "PULL":
         return PullProtocol(interests, metrics)
     if name == "SPRAY":
         return SprayAndWaitProtocol(
-            interests, metrics, initial_copies=config.spray_copies
+            interests, metrics, initial_copies=spec.spray_copies
         )
     if name == "B-SUB":
         return BsubProtocol(
             interests,
             metrics,
             BsubConfig(
-                num_bits=config.num_bits,
-                num_hashes=config.num_hashes,
-                initial_value=config.initial_value,
+                num_bits=spec.num_bits,
+                num_hashes=spec.num_hashes,
+                initial_value=spec.initial_value,
                 decay_factor_per_min=decay_factor_per_min,
-                copy_limit=config.copy_limit,
-                election_lower=config.election_lower,
-                election_upper=config.election_upper,
-                election_window_s=config.election_window_s,
-                broker_broker_additive_merge=config.broker_broker_additive_merge,
-                static_brokers=config.static_brokers,
-                relay_fill_threshold=config.relay_fill_threshold,
-                relay_max_filters=config.relay_max_filters,
-                adaptive_df=config.adaptive_df,
-                carried_capacity=config.carried_capacity,
-                eviction=config.eviction,
-                interest_encoding=config.interest_encoding,
-                filter_spec=config.filter_spec,
+                copy_limit=spec.copy_limit,
+                election_lower=spec.election_lower,
+                election_upper=spec.election_upper,
+                election_window_s=spec.election_window_s,
+                broker_broker_additive_merge=spec.broker_broker_additive_merge,
+                static_brokers=spec.static_brokers,
+                relay_fill_threshold=spec.relay_fill_threshold,
+                relay_max_filters=spec.relay_max_filters,
+                adaptive_df=spec.adaptive_df,
+                carried_capacity=spec.carried_capacity,
+                eviction=spec.eviction,
+                interest_encoding=spec.interest_encoding,
+                filter_spec=spec.filter_spec,
             ),
             recorder=recorder,
             registry=registry,
@@ -163,35 +155,19 @@ def _build_protocol(
     )
 
 
-def run_experiment(
+def run(
     trace: ContactTrace,
-    protocol_name: str,
-    config: Optional[ExperimentConfig] = None,
+    spec: Optional[ExperimentSpec] = None,
+    *,
     distribution: Optional[KeyDistribution] = None,
     obs: Optional[Observability] = None,
 ) -> RunResult:
-    """Deprecated alias for :func:`repro.api.run` (same behaviour).
+    """Run one simulation described by *spec* on *trace*.
 
-    Kept as a thin shim so existing callers keep working; new code
-    should build a typed :class:`repro.api.ExperimentSpec` and call
-    :func:`repro.api.run` instead.
-    """
-    warn_deprecated("run_experiment")
-    return _run_experiment(trace, protocol_name, config, distribution, obs)
-
-
-def _run_experiment(
-    trace: ContactTrace,
-    protocol_name: str,
-    config: Optional[ExperimentConfig] = None,
-    distribution: Optional[KeyDistribution] = None,
-    obs: Optional[Observability] = None,
-) -> RunResult:
-    """Run one (trace, protocol, config) simulation and aggregate metrics.
-
+    The default spec is B-SUB under the paper's Sec. VII-A settings.
     Interests and the message workload are derived deterministically
-    from the config seeds, so different protocols compared under the
-    same config see the *identical* workload.
+    from the spec seeds, so different protocols compared under the
+    same settings see the *identical* workload.
 
     When an :class:`~repro.obs.Observability` bundle is passed, the
     run is traced/metered through it: protocol events go to
@@ -200,12 +176,12 @@ def _run_experiment(
     ``summarize``).  Observability never changes run behaviour — the
     same seed produces identical results with and without it.
 
-    When ``config.faults`` is an enabled :class:`repro.faults.FaultSpec`,
+    When ``spec.faults`` is an enabled :class:`repro.faults.FaultSpec`,
     a :class:`repro.faults.FaultPlan` is threaded through the simulator
     and the run's fault tallies land in ``RunResult.fault_accounting``;
     a ``None``/disabled spec takes the byte-identical fault-free path.
     """
-    config = config or ExperimentConfig()
+    spec = spec or ExperimentSpec()
     distribution = distribution or twitter_trends_2009()
     obs = obs or Observability.disabled()
 
@@ -213,33 +189,33 @@ def _run_experiment(
         interests = assign_interests(
             trace.nodes,
             distribution,
-            seed=config.interest_seed,
-            interests_per_node=config.interests_per_node,
+            seed=spec.interest_seed,
+            interests_per_node=spec.interests_per_node,
         )
         workload = WorkloadConfig(
-            ttl_s=config.ttl_s,
-            min_rate_per_s=config.min_rate_per_s,
-            keys_per_message=config.keys_per_message,
-            seed=config.workload_seed,
+            ttl_s=spec.ttl_s,
+            min_rate_per_s=spec.min_rate_per_s,
+            keys_per_message=spec.keys_per_message,
+            seed=spec.workload_seed,
         )
         events = generate_message_events(trace, distribution, workload)
 
-        if protocol_name == "B-SUB" and config.decay_factor_per_min is None:
-            df_per_min = derive_decay_factor(trace, config, distribution)
+        if spec.protocol == "B-SUB" and spec.df_per_min is None:
+            df_per_min = derive_decay_factor(trace, spec, distribution)
         else:
-            df_per_min = config.decay_factor_per_min or 0.0
+            df_per_min = spec.df_per_min or 0.0
 
-        metrics = MetricsCollector(interests, protocol_name)
+        metrics = MetricsCollector(interests, spec.protocol)
         protocol = _build_protocol(
-            protocol_name, interests, metrics, config, df_per_min,
+            interests, metrics, spec, df_per_min,
             recorder=obs.tracer, registry=obs.registry,
         )
         plan = None
-        if config.faults is not None and config.faults.enabled:
-            plan = FaultPlan(config.faults, trace, recorder=obs.tracer)
+        if spec.faults is not None and spec.faults.enabled:
+            plan = FaultPlan(spec.faults, trace, recorder=obs.tracer)
         simulation = Simulation(
-            trace, protocol, events, rate_bps=config.rate_bps,
-            recorder=obs.tracer, faults=plan, shards=config.shards,
+            trace, protocol, events, rate_bps=spec.rate_bps,
+            recorder=obs.tracer, faults=plan, shards=spec.shards,
         )
 
     with obs.phase("simulate"):
@@ -263,9 +239,9 @@ def _run_experiment(
                         tallies[name]
                     )
     return RunResult(
-        protocol=protocol_name,
+        protocol=spec.protocol,
         trace_name=trace.name,
-        ttl_min=config.ttl_min,
+        ttl_min=spec.ttl_min,
         decay_factor_per_min=df_per_min,
         summary=summary,
         engine=engine_report,

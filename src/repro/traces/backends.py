@@ -15,14 +15,14 @@ provides the *storage* behind it through a seam that mirrors
   path, trace statistics) operate on the columns directly.
   :class:`Contact` objects are materialised lazily, one at a time,
   only when somebody actually indexes or iterates the trace.
-* ``mmap`` — the columnar layout, but memory-mapped from ``.npy``
-  sidecar files (one per column) instead of resident arrays.  The
-  operating system pages contact data in on demand and may drop clean
-  pages under pressure, so a trace far larger than RAM replays in
-  bounded memory.  Time slices stay zero-copy (they are views into
-  the same mapping), and a store opened from a dataset directory
-  remembers its ``source`` path so shard workers in other processes
-  can re-open just their slice.
+* ``mmap`` — the same columnar store, but with its columns
+  memory-mapped from ``.npy`` sidecar files (one per column) instead
+  of resident arrays.  The operating system pages contact data in on
+  demand and may drop clean pages under pressure, so a trace far
+  larger than RAM replays in bounded memory.  Time slices stay
+  zero-copy (they are views into the same mapping), and a store opened
+  from a dataset directory remembers its ``source`` path so shard
+  workers in other processes can re-open just their slice.
 
 All backends are **observationally identical**: they hold the same
 contacts in the same order with the same IEEE-754 start/duration
@@ -61,7 +61,6 @@ __all__ = [
     "store_from_arrays",
     "ObjectContactStore",
     "ColumnarContactStore",
-    "MmapContactStore",
     "spill_columns_to_mmap",
 ]
 
@@ -273,11 +272,17 @@ class ColumnarContactStore:
     Rows are identified by position; a :class:`Contact` is only built
     when a row is individually addressed.  All four columns may be
     views into a parent store's arrays (time slices are zero-copy).
+
+    Columns given as ``np.memmap`` (as :meth:`open` does) make a
+    mapped store, ``backend == "mmap"``: the resident set is whatever
+    the OS keeps paged in, not the trace size, and zero-copy views stay
+    mapped.  ``source`` records the dataset directory a store was
+    opened from (``None`` for in-memory columns and anonymous spills
+    whose files may be gone), which lets shard workers re-open just
+    their row range.
     """
 
-    __slots__ = ("start", "duration", "a", "b")
-
-    backend = "columnar"
+    __slots__ = ("start", "duration", "a", "b", "backend", "source", "__weakref__")
 
     def __init__(
         self,
@@ -285,7 +290,10 @@ class ColumnarContactStore:
         duration: np.ndarray,
         a: np.ndarray,
         b: np.ndarray,
+        source: Optional[str] = None,
     ):
+        self.backend = "mmap" if isinstance(start, np.memmap) else "columnar"
+        self.source = source
         self.start, self.duration, self.a, self.b = _as_columns(
             start, duration, a, b
         )
@@ -293,6 +301,39 @@ class ColumnarContactStore:
             len(self.start) == len(self.duration) == len(self.a) == len(self.b)
         ):
             raise ValueError("trace columns must have equal lengths")
+
+    @classmethod
+    def open(
+        cls,
+        path: Union[str, Path],
+        lo: int = 0,
+        hi: Optional[int] = None,
+    ) -> "ColumnarContactStore":
+        """Memory-map the column files under *path*, optionally a row range.
+
+        The mapping is read-only; opening costs four small reads (the
+        ``.npy`` headers), never the trace size.
+        """
+        path = Path(path)
+        columns = []
+        for name in TRACE_COLUMN_NAMES:
+            column_path = path / f"{name}.npy"
+            if not column_path.is_file():
+                raise FileNotFoundError(
+                    f"{path} is not a trace dataset: missing {name}.npy"
+                )
+            column = np.load(column_path, mmap_mode="r")
+            expected = TRACE_COLUMN_DTYPES[name]
+            if column.dtype != expected or column.ndim != 1:
+                raise ValueError(
+                    f"{column_path}: expected 1-D {expected}, "
+                    f"got {column.dtype} with shape {column.shape}"
+                )
+            columns.append(column)
+        store = cls(*columns, source=str(path))
+        if lo or hi is not None:
+            store = store.row_slice(lo, len(store) if hi is None else hi)
+        return store
 
     @classmethod
     def from_contacts(cls, contacts: List) -> "ColumnarContactStore":
@@ -382,12 +423,17 @@ class ColumnarContactStore:
     # -- transforms -----------------------------------------------------------
 
     def _view(self, lo: int, hi: int) -> "ColumnarContactStore":
-        """Zero-copy row-range view; preserves the concrete store type."""
-        clone = object.__new__(type(self))
+        """Zero-copy row-range view; a mapped store's views stay mapped."""
+        clone = object.__new__(ColumnarContactStore)
         clone.start = self.start[lo:hi]
         clone.duration = self.duration[lo:hi]
         clone.a = self.a[lo:hi]
         clone.b = self.b[lo:hi]
+        clone.backend = self.backend
+        # ``source`` promises "re-opening this path yields these exact
+        # rows" (shard workers rely on it); only a full-range view can
+        # keep that promise.
+        clone.source = self.source if (lo, hi) == (0, len(self)) else None
         return clone
 
     def time_slice(self, start: float, end: float) -> "ColumnarContactStore":
@@ -408,6 +454,8 @@ class ColumnarContactStore:
         return self._view(lo, hi)
 
     def shifted(self, offset: float) -> "ColumnarContactStore":
+        # Shifting materialises a new start column, so a mapped store
+        # shifts into an honest in-memory one.
         return ColumnarContactStore(
             self.start + offset, self.duration, self.a, self.b
         )
@@ -443,81 +491,6 @@ class ColumnarContactStore:
         }
 
 
-class MmapContactStore(ColumnarContactStore):
-    """Columnar storage memory-mapped from ``.npy`` sidecar files.
-
-    Behaviourally identical to :class:`ColumnarContactStore` (it *is*
-    one — all the column arithmetic is inherited); the only difference
-    is that the four columns are read-only ``np.memmap`` views, so the
-    resident set is whatever the OS chooses to keep paged in, not the
-    trace size.  ``source`` records the dataset directory the store
-    was opened from (``None`` for anonymous spills whose files may be
-    gone), which lets shard workers re-open just their row range.
-
-    Zero-copy transforms (``time_slice`` / ``upto`` / ``row_slice``)
-    stay mmap-backed; ``shifted`` necessarily materialises and
-    therefore returns a plain columnar store.
-    """
-
-    __slots__ = ("source", "__weakref__")
-
-    backend = "mmap"
-
-    def __init__(self, start, duration, a, b, source: Optional[str] = None):
-        super().__init__(start, duration, a, b)
-        self.source = source
-
-    def _view(self, lo: int, hi: int) -> "MmapContactStore":
-        clone = super()._view(lo, hi)
-        # ``source`` promises "re-opening this path yields these exact
-        # rows" (shard workers rely on it); only a full-range view can
-        # keep that promise.
-        clone.source = (
-            self.source if (lo, hi) == (0, len(self)) else None
-        )
-        return clone
-
-    def shifted(self, offset: float) -> ColumnarContactStore:
-        # Shifting materialises a new start column, so the result is an
-        # honest in-memory columnar store, not a fake "mmap" one.
-        return ColumnarContactStore(
-            self.start + offset, self.duration, self.a, self.b
-        )
-
-    @classmethod
-    def open(
-        cls,
-        path: Union[str, Path],
-        lo: int = 0,
-        hi: Optional[int] = None,
-    ) -> "MmapContactStore":
-        """Open the column files under *path*, optionally a row range.
-
-        The mapping is read-only; opening costs four small reads (the
-        ``.npy`` headers), never the trace size.
-        """
-        path = Path(path)
-        columns = []
-        for name in TRACE_COLUMN_NAMES:
-            column_path = path / f"{name}.npy"
-            if not column_path.is_file():
-                raise FileNotFoundError(
-                    f"{path} is not a trace dataset: missing {name}.npy"
-                )
-            column = np.load(column_path, mmap_mode="r")
-            expected = TRACE_COLUMN_DTYPES[name]
-            if column.dtype != expected or column.ndim != 1:
-                raise ValueError(
-                    f"{column_path}: expected 1-D {expected}, "
-                    f"got {column.dtype} with shape {column.shape}"
-                )
-            columns.append(column)
-        store = cls(*columns, source=str(path))
-        if lo or hi is not None:
-            store = store.row_slice(lo, len(store) if hi is None else hi)
-        return store
-
-
 #: Spill directories created for anonymous in-memory -> mmap
 #: conversions; removed at interpreter exit as a backstop (the
 #: per-store weakref finalizer usually gets there first).
@@ -542,7 +515,7 @@ def spill_columns_to_mmap(
     duration: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
-) -> MmapContactStore:
+) -> ColumnarContactStore:
     """Write in-memory columns to a scratch dataset and mmap them back.
 
     The scratch directory lives under ``BSUB_TRACE_MMAP_DIR`` when that
@@ -568,7 +541,7 @@ def spill_columns_to_mmap(
         mapped[:] = column
         mapped.flush()
         del mapped
-    store = MmapContactStore.open(spill_dir)
+    store = ColumnarContactStore.open(spill_dir)
     if not persistent:
         store.source = None  # the files are transient; not re-openable
         _SPILL_DIRS.add(spill_dir)

@@ -45,7 +45,7 @@ import numpy as np
 from .backends import (
     TRACE_COLUMN_DTYPES,
     TRACE_COLUMN_NAMES,
-    MmapContactStore,
+    ColumnarContactStore,
     resolve_trace_backend,
 )
 from .model import ContactTrace
@@ -385,7 +385,7 @@ def open_trace_dataset(
     """
     path = Path(path)
     meta = _read_dataset_meta(path)
-    store = MmapContactStore.open(path, lo=lo, hi=hi)
+    store = ColumnarContactStore.open(path, lo=lo, hi=hi)
     backend = resolve_trace_backend(backend)
     if backend == "columnar":
         store = store.materialised()

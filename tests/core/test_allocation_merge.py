@@ -132,17 +132,16 @@ class TestRelayInterface:
 
 class TestProtocolIntegration:
     def test_bsub_runs_with_multi_filter_relays(self):
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro.api import ExperimentSpec, run
         from repro.traces.synthetic import haggle_like
 
         trace = haggle_like(scale=0.02, seed=9)
-        single = run_experiment(
-            trace, "B-SUB",
-            ExperimentConfig(ttl_min=300, min_rate_per_s=1 / 7200.0),
+        single = run(
+            trace, ExperimentSpec(ttl_min=300, min_rate_per_s=1 / 7200.0)
         )
-        multi = run_experiment(
-            trace, "B-SUB",
-            ExperimentConfig(
+        multi = run(
+            trace,
+            ExperimentSpec(
                 ttl_min=300,
                 min_rate_per_s=1 / 7200.0,
                 relay_fill_threshold=0.25,

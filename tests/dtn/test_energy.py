@@ -75,13 +75,13 @@ class TestEnergyReport:
 class TestEndToEnd:
     @pytest.fixture(scope="class")
     def runs(self):
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro.api import ExperimentSpec, run
         from repro.traces.synthetic import haggle_like
 
         trace = haggle_like(scale=0.03, seed=16)
-        config = ExperimentConfig(ttl_min=600.0, min_rate_per_s=1 / 3600.0)
+        spec = ExperimentSpec(ttl_min=600.0, min_rate_per_s=1 / 3600.0)
         return {
-            name: run_experiment(trace, name, config)
+            name: run(trace, spec.with_protocol(name))
             for name in ("PUSH", "B-SUB", "PULL")
         }
 

@@ -6,9 +6,9 @@ import os
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_replicated, ttl_sweep
+from repro.api import replicate, sweep
+from repro.experiments import ExperimentSpec
 from repro.experiments.parallel import RunTask, execute_tasks, resolve_jobs
-from repro.experiments.sweeps import df_sweep
 from repro.traces.synthetic import haggle_like
 
 
@@ -64,26 +64,27 @@ def small_trace():
 
 
 @pytest.fixture(scope="module")
-def small_config():
-    return ExperimentConfig(interests_per_node=2, min_rate_per_s=1 / 3600.0)
+def small_spec():
+    return ExperimentSpec(interests_per_node=2, min_rate_per_s=1 / 3600.0)
 
 
 class TestExecuteTasks:
     def test_empty_task_list(self):
         assert execute_tasks([], jobs=4) == []
 
-    def test_serial_runs_in_order(self, small_trace, small_config):
+    def test_serial_runs_in_order(self, small_trace, small_spec):
+        spec = small_spec.with_ttl(240).with_df(0.1)
         tasks = [
-            RunTask(small_trace, name, small_config.with_ttl(240).with_df(0.1))
+            RunTask(small_trace, spec.with_protocol(name))
             for name in ("PUSH", "PULL")
         ]
         results = execute_tasks(tasks, jobs=1)
         assert [r.protocol for r in results] == ["PUSH", "PULL"]
 
-    def test_parallel_matches_serial(self, small_trace, small_config):
-        config = small_config.with_ttl(240).with_df(0.1)
+    def test_parallel_matches_serial(self, small_trace, small_spec):
+        spec = small_spec.with_ttl(240).with_df(0.1)
         tasks = [
-            RunTask(small_trace, name, config)
+            RunTask(small_trace, spec.with_protocol(name))
             for name in ("PUSH", "B-SUB", "PULL")
         ]
         serial = execute_tasks(tasks, jobs=1)
@@ -96,45 +97,33 @@ class TestExecuteTasks:
 
 
 class TestSweepJobs:
-    def test_ttl_sweep_parallel_identical(self, small_trace, small_config):
-        kwargs = dict(
-            ttl_values_min=[120.0, 360.0],
-            protocols=("PUSH", "PULL"),
-            base_config=small_config,
-        )
-        serial = ttl_sweep(small_trace, jobs=1, **kwargs)
-        parallel = ttl_sweep(small_trace, jobs=2, **kwargs)
+    def test_ttl_sweep_parallel_identical(self, small_trace, small_spec):
+        kwargs = dict(ttl_min=[120.0, 360.0], protocols=("PUSH", "PULL"))
+        serial = sweep(small_trace, small_spec, jobs=1, **kwargs)
+        parallel = sweep(small_trace, small_spec, jobs=2, **kwargs)
         assert serial.keys() == parallel.keys()
         for name in serial:
             assert [r.ttl_min for r in serial[name]] == [120.0, 360.0]
             for s, p in zip(serial[name], parallel[name]):
                 assert_summaries_equal(s.summary, p.summary)
 
-    def test_df_sweep_parallel_identical(self, small_trace, small_config):
-        kwargs = dict(
-            df_values_per_min=[0.0, 0.5],
-            ttl_min=240.0,
-            base_config=small_config,
-        )
-        serial = df_sweep(small_trace, jobs=1, **kwargs)
-        parallel = df_sweep(small_trace, jobs=2, **kwargs)
+    def test_df_sweep_parallel_identical(self, small_trace, small_spec):
+        spec = small_spec.with_ttl(240.0)
+        serial = sweep(small_trace, spec, df_per_min=[0.0, 0.5], jobs=1)
+        parallel = sweep(small_trace, spec, df_per_min=[0.0, 0.5], jobs=2)
         assert [r.decay_factor_per_min for r in serial] == [0.0, 0.5]
         for s, p in zip(serial, parallel):
             assert_summaries_equal(s.summary, p.summary)
 
 
 class TestReplicationJobs:
-    def test_run_replicated_parallel_identical(self, small_config):
+    def test_run_replicated_parallel_identical(self, small_spec):
         def factory(seed):
             return haggle_like(scale=0.01, seed=seed)
 
-        config = small_config.with_ttl(240).with_df(0.1)
-        serial = run_replicated(
-            factory, "B-SUB", config=config, seeds=(0, 1), jobs=1
-        )
-        parallel = run_replicated(
-            factory, "B-SUB", config=config, seeds=(0, 1), jobs=2
-        )
+        spec = small_spec.with_ttl(240).with_df(0.1)
+        serial = replicate(factory, spec, seeds=(0, 1), jobs=1)
+        parallel = replicate(factory, spec, seeds=(0, 1), jobs=2)
         for metric in serial.metrics:
             sm, pm = serial.metrics[metric], parallel.metrics[metric]
             assert sm.count == pm.count

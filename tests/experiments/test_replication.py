@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.replication import MetricStats, _stats, run_replicated
+from repro.experiments.config import ExperimentSpec
+from repro.experiments.replication import MetricStats, _stats, replicate
 from repro.traces.synthetic import haggle_like
 
 
@@ -13,8 +13,10 @@ def factory(seed):
     return haggle_like(scale=0.01, seed=seed)
 
 
-def config():
-    return ExperimentConfig(ttl_min=300.0, min_rate_per_s=1 / 7200.0)
+def spec(protocol):
+    return ExperimentSpec(
+        protocol=protocol, ttl_min=300.0, min_rate_per_s=1 / 7200.0
+    )
 
 
 class TestMetricStats:
@@ -45,27 +47,27 @@ class TestMetricStats:
 
 class TestRunReplicated:
     def test_aggregates_over_seeds(self):
-        result = run_replicated(factory, "PULL", config(), seeds=(0, 1, 2))
+        result = replicate(factory, spec("PULL"), seeds=(0, 1, 2))
         assert len(result.runs) == 3
         assert result["delivery_ratio"].count == 3
         assert 0.0 <= result["delivery_ratio"].mean <= 1.0
 
     def test_seeds_produce_different_runs(self):
-        result = run_replicated(factory, "PULL", config(), seeds=(0, 1))
+        result = replicate(factory, spec("PULL"), seeds=(0, 1))
         ratios = [r.summary.delivery_ratio for r in result.runs]
         assert ratios[0] != ratios[1]
 
     def test_deterministic_overall(self):
-        a = run_replicated(factory, "PULL", config(), seeds=(0, 1))
-        b = run_replicated(factory, "PULL", config(), seeds=(0, 1))
+        a = replicate(factory, spec("PULL"), seeds=(0, 1))
+        b = replicate(factory, spec("PULL"), seeds=(0, 1))
         assert a["delivery_ratio"].mean == b["delivery_ratio"].mean
 
     def test_requires_seeds(self):
         with pytest.raises(ValueError):
-            run_replicated(factory, "PULL", config(), seeds=())
+            replicate(factory, spec("PULL"), seeds=())
 
     def test_all_metrics_present(self):
-        result = run_replicated(factory, "PUSH", config(), seeds=(0,))
+        result = replicate(factory, spec("PUSH"), seeds=(0,))
         assert set(result.metrics) == {
             "delivery_ratio",
             "mean_delay_min",
@@ -76,6 +78,6 @@ class TestRunReplicated:
 
     def test_ordering_stable_across_seeds(self):
         """PUSH beats PULL in the mean, not just in one lucky seed."""
-        push = run_replicated(factory, "PUSH", config(), seeds=(0, 1, 2))
-        pull = run_replicated(factory, "PULL", config(), seeds=(0, 1, 2))
+        push = replicate(factory, spec("PUSH"), seeds=(0, 1, 2))
+        pull = replicate(factory, spec("PULL"), seeds=(0, 1, 2))
         assert push["delivery_ratio"].mean > pull["delivery_ratio"].mean

@@ -45,13 +45,14 @@ class TestSeriesTable:
 
 class TestMetricSeries:
     def _results(self):
-        from repro.experiments.config import ExperimentConfig
-        from repro.experiments.runner import run_experiment
+        from repro.api import ExperimentSpec, run
         from repro.traces.synthetic import haggle_like
 
         trace = haggle_like(scale=0.01, seed=6)
-        config = ExperimentConfig(ttl_min=300, min_rate_per_s=1 / 7200.0)
-        return [run_experiment(trace, "PULL", config)]
+        spec = ExperimentSpec(
+            protocol="PULL", ttl_min=300, min_rate_per_s=1 / 7200.0
+        )
+        return [run(trace, spec)]
 
     def test_known_metrics(self):
         results = self._results()

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.sweeps import df_sweep, ttl_sweep
+from repro.experiments.config import ExperimentSpec
+from repro.experiments.sweeps import sweep
 from repro.traces.synthetic import haggle_like
 
 
@@ -13,87 +13,60 @@ def tiny_trace():
 
 
 @pytest.fixture(scope="module")
-def base_config():
-    return ExperimentConfig(min_rate_per_s=1 / 7200.0)
+def base_spec():
+    return ExperimentSpec(min_rate_per_s=1 / 7200.0)
 
 
 class TestTtlSweep:
-    def test_shape(self, tiny_trace, base_config):
-        sweep = ttl_sweep(
-            tiny_trace,
-            ttl_values_min=(60.0, 600.0),
-            base_config=base_config,
-        )
-        assert set(sweep) == {"PUSH", "B-SUB", "PULL"}
-        assert all(len(results) == 2 for results in sweep.values())
+    def test_shape(self, tiny_trace, base_spec):
+        results = sweep(tiny_trace, base_spec, ttl_min=(60.0, 600.0))
+        assert set(results) == {"PUSH", "B-SUB", "PULL"}
+        assert all(len(cells) == 2 for cells in results.values())
 
-    def test_ttls_recorded_in_order(self, tiny_trace, base_config):
-        sweep = ttl_sweep(
-            tiny_trace, ttl_values_min=(60.0, 600.0), base_config=base_config
-        )
-        assert [r.ttl_min for r in sweep["PUSH"]] == [60.0, 600.0]
+    def test_ttls_recorded_in_order(self, tiny_trace, base_spec):
+        results = sweep(tiny_trace, base_spec, ttl_min=(60.0, 600.0))
+        assert [r.ttl_min for r in results["PUSH"]] == [60.0, 600.0]
 
-    def test_df_rederived_per_ttl(self, tiny_trace, base_config):
-        sweep = ttl_sweep(
-            tiny_trace,
-            ttl_values_min=(60.0, 600.0),
-            protocols=("B-SUB",),
-            base_config=base_config,
+    def test_df_rederived_per_ttl(self, tiny_trace, base_spec):
+        results = sweep(
+            tiny_trace, base_spec, ttl_min=(60.0, 600.0), protocols=("B-SUB",)
         )
-        dfs = [r.decay_factor_per_min for r in sweep["B-SUB"]]
+        dfs = [r.decay_factor_per_min for r in results["B-SUB"]]
         assert dfs[0] > dfs[1]  # shorter TTL -> faster decay
 
-    def test_protocol_subset(self, tiny_trace, base_config):
-        sweep = ttl_sweep(
-            tiny_trace,
-            ttl_values_min=(60.0,),
-            protocols=("PULL",),
-            base_config=base_config,
+    def test_protocol_subset(self, tiny_trace, base_spec):
+        results = sweep(
+            tiny_trace, base_spec, ttl_min=(60.0,), protocols=("PULL",)
         )
-        assert set(sweep) == {"PULL"}
+        assert set(results) == {"PULL"}
 
-    def test_delivery_ratio_nondecreasing_in_ttl(self, tiny_trace, base_config):
+    def test_delivery_ratio_nondecreasing_in_ttl(self, tiny_trace, base_spec):
         """Figs. 7(a)/8(a): longer TTLs can only help delivery."""
-        sweep = ttl_sweep(
-            tiny_trace,
-            ttl_values_min=(30.0, 1200.0),
-            protocols=("PUSH",),
-            base_config=base_config,
+        results = sweep(
+            tiny_trace, base_spec, ttl_min=(30.0, 1200.0), protocols=("PUSH",)
         )
-        ratios = [r.summary.delivery_ratio for r in sweep["PUSH"]]
+        ratios = [r.summary.delivery_ratio for r in results["PUSH"]]
         assert ratios[1] >= ratios[0]
 
 
 class TestDfSweep:
-    def test_runs_bsub_at_each_df(self, tiny_trace, base_config):
-        results = df_sweep(
-            tiny_trace,
-            df_values_per_min=(0.0, 1.0),
-            ttl_min=600.0,
-            base_config=base_config,
+    def test_runs_bsub_at_each_df(self, tiny_trace, base_spec):
+        results = sweep(
+            tiny_trace, base_spec.with_ttl(600.0), df_per_min=(0.0, 1.0)
         )
         assert [r.decay_factor_per_min for r in results] == [0.0, 1.0]
         assert all(r.protocol == "B-SUB" for r in results)
 
-    def test_fixed_ttl(self, tiny_trace, base_config):
-        results = df_sweep(
-            tiny_trace,
-            df_values_per_min=(0.5,),
-            ttl_min=240.0,
-            base_config=base_config,
-        )
+    def test_fixed_ttl(self, tiny_trace, base_spec):
+        results = sweep(tiny_trace, base_spec.with_ttl(240.0), df_per_min=(0.5,))
         assert results[0].ttl_min == 240.0
 
-    def test_high_df_reduces_forwardings(self, tiny_trace, base_config):
+    def test_high_df_reduces_forwardings(self, tiny_trace, base_spec):
         """Fig. 9(c): interests stop propagating at huge DF, so the
         relay path dries up and forwarding overhead falls."""
-        results = df_sweep(
-            tiny_trace,
-            df_values_per_min=(0.0, 50.0),
-            ttl_min=600.0,
-            base_config=base_config,
+        free, strangled = sweep(
+            tiny_trace, base_spec.with_ttl(600.0), df_per_min=(0.0, 50.0)
         )
-        free, strangled = results
         assert (
             strangled.summary.num_forwardings <= free.summary.num_forwardings
         )

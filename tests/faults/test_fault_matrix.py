@@ -12,7 +12,6 @@ import os
 import pytest
 
 from repro.api import ExperimentSpec, run
-from repro.experiments import ExperimentConfig
 from repro.faults import FaultSpec
 from repro.traces import haggle_like
 
@@ -23,14 +22,14 @@ LOSS = float(os.environ.get("BSUB_FAULT_LOSS", "0.1"))
 def matrix_run():
     trace = haggle_like(scale=0.01, seed=3)
     faults = FaultSpec(frame_loss=LOSS, seed=5) if LOSS > 0 else None
-    config = ExperimentConfig(
+    spec = ExperimentSpec(
         ttl_min=120.0,
         min_rate_per_s=1 / 1800.0,
         num_bits=32,
         num_hashes=2,
         faults=faults,
     )
-    result = run(trace, ExperimentSpec.from_config(config))
+    result = run(trace, spec)
     return trace, result
 
 

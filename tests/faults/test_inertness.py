@@ -10,7 +10,6 @@ the exact pre-fault branch.
 import pytest
 
 from repro.api import ExperimentSpec, run
-from repro.experiments import ExperimentConfig
 from repro.faults import FaultSpec
 from repro.obs import Observability
 from repro.traces import haggle_like
@@ -20,9 +19,9 @@ from tests.obs.test_golden_trace import MINI_FIG7_TRACE_DIGEST
 
 def digest_of(faults):
     trace = haggle_like(**MINI_FIG7_TRACE)
-    config = ExperimentConfig(faults=faults, **MINI_FIG7_CONFIG)
+    spec = ExperimentSpec(faults=faults, **MINI_FIG7_CONFIG)
     obs = Observability.enabled()
-    result = run(trace, ExperimentSpec.from_config(config), obs=obs)
+    result = run(trace, spec, obs=obs)
     return obs.tracer.digest(), result
 
 

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.api import ExperimentSpec, resilience
-from repro.experiments import ExperimentConfig
-from repro.experiments.resilience import ResilienceReport, resilience_report
+from repro.experiments.resilience import ResilienceReport
 from repro.faults import FaultSpec
 from repro.traces import haggle_like
 
@@ -17,15 +16,12 @@ CONFIG = dict(
 @pytest.fixture(scope="module")
 def report():
     trace = haggle_like(scale=0.01, seed=3)
-    spec = ExperimentSpec.from_config(
-        ExperimentConfig(faults=FAULTS, **CONFIG)
-    )
-    return resilience(trace, spec)
+    return resilience(trace, ExperimentSpec(faults=FAULTS, **CONFIG))
 
 
 class TestTwin:
     def test_twin_sees_identical_workload(self, report):
-        # Workload and interests derive from config seeds, not from the
+        # Workload and interests derive from spec seeds, not from the
         # fault layer: both runs must study the same experiment.
         assert (report.faulted.summary.num_messages
                 == report.baseline.summary.num_messages)
@@ -69,9 +65,9 @@ class TestGuards:
             resilience(trace, ExperimentSpec())
 
     def test_report_function_rejects_disabled_faults(self):
-        config = ExperimentConfig(faults=FaultSpec(), **CONFIG)
+        spec = ExperimentSpec(faults=FaultSpec(), **CONFIG)
         with pytest.raises(ValueError, match="enabled FaultSpec"):
-            resilience_report(haggle_like(scale=0.01, seed=3), "B-SUB", config)
+            resilience(haggle_like(scale=0.01, seed=3), spec)
 
     def test_zero_over_zero_reads_as_no_degradation(self):
         # The ratio convention: 0/0 -> 1.0 (nothing to lose, nothing lost).

@@ -10,7 +10,6 @@ simulation executes once, however many tests inspect it.
 import pytest
 
 from repro.api import ExperimentSpec, run
-from repro.experiments import ExperimentConfig
 from repro.obs import Observability
 from repro.traces import haggle_like
 
@@ -30,8 +29,7 @@ MINI_FIG7_CONFIG = dict(
 def run_mini_fig7(obs=None):
     """One fresh instrumented (or plain) run of the mini Fig. 7 scenario."""
     trace = haggle_like(**MINI_FIG7_TRACE)
-    config = ExperimentConfig(**MINI_FIG7_CONFIG)
-    return run(trace, ExperimentSpec.from_config(config), obs=obs)
+    return run(trace, ExperimentSpec(**MINI_FIG7_CONFIG), obs=obs)
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,6 @@ import hashlib
 import json
 
 from repro.api import ExperimentSpec, run
-from repro.experiments import ExperimentConfig
 from repro.obs import EVENT_TYPES, Observability, read_trace
 from repro.traces import haggle_like
 
@@ -127,13 +126,13 @@ class TestMiniFig9Golden:
     def test_df_sweep_digests_pinned(self):
         trace = haggle_like(**MINI_FIG9_TRACE)
         for df, expected in MINI_FIG9_DIGESTS.items():
-            config = ExperimentConfig(
+            spec = ExperimentSpec(
                 ttl_min=120.0,
                 min_rate_per_s=1 / 1800.0,
                 num_bits=32,
                 num_hashes=2,
-                decay_factor_per_min=df,
+                df_per_min=df,
             )
             obs = Observability.enabled()
-            run(trace, ExperimentSpec.from_config(config), obs=obs)
+            run(trace, spec, obs=obs)
             assert obs.tracer.digest() == expected, f"DF={df}"

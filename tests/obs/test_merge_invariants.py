@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.tcbf import TemporalCountingBloomFilter
-from repro.experiments import ExperimentConfig
+from repro.experiments import ExperimentSpec
 
 from .conftest import MINI_FIG7_CONFIG
 
@@ -115,7 +115,7 @@ class TestTraceObservedMergeInvariants:
 
     def test_a_merge_events_monotone_and_reinforce_to_c(self, mini_fig7):
         obs, _ = mini_fig7
-        initial_value = ExperimentConfig(**MINI_FIG7_CONFIG).initial_value
+        initial_value = ExperimentSpec(**MINI_FIG7_CONFIG).initial_value
         events = obs.tracer.events_of("a_merge")
         assert events, "mini run produced no consumer announcements"
         for event in events:

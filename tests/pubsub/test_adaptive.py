@@ -139,17 +139,17 @@ class TestAdjustment:
 
 class TestProtocolIntegration:
     def test_adaptive_run_completes_and_adjusts(self):
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro.api import ExperimentSpec, run
         from repro.traces.synthetic import haggle_like
 
         trace = haggle_like(scale=0.02, seed=12)
-        config = ExperimentConfig(
+        spec = ExperimentSpec(
             ttl_min=300.0,
             min_rate_per_s=1 / 7200.0,
-            decay_factor_per_min=0.1,
+            df_per_min=0.1,
             adaptive_df=AdaptiveDecayConfig(target_fpr=0.01, interval_s=600.0),
         )
-        result = run_experiment(trace, "B-SUB", config)
+        result = run(trace, spec)
         assert result.summary.num_messages > 0
 
     def test_controllers_attached_per_node(self, family):

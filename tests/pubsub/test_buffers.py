@@ -98,30 +98,28 @@ class TestNodeCarriedCapacity:
 class TestEndToEnd:
     def test_push_capacity_hurts_delivery(self):
         """Tiny epidemic buffers must lose messages versus unbounded."""
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro.api import ExperimentSpec, run
         from repro.traces.synthetic import haggle_like
 
         trace = haggle_like(scale=0.03, seed=14)
         base = dict(ttl_min=600.0, min_rate_per_s=1 / 3600.0)
-        unbounded = run_experiment(
-            trace, "PUSH", ExperimentConfig(**base)
-        )
-        starved = run_experiment(
-            trace, "PUSH", ExperimentConfig(push_buffer_capacity=5, **base)
+        unbounded = run(trace, ExperimentSpec(protocol="PUSH", **base))
+        starved = run(
+            trace,
+            ExperimentSpec(protocol="PUSH", push_buffer_capacity=5, **base),
         )
         assert (
             starved.summary.delivery_ratio < unbounded.summary.delivery_ratio
         )
 
     def test_bsub_runs_with_bounded_brokers(self):
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro.api import ExperimentSpec, run
         from repro.traces.synthetic import haggle_like
 
         trace = haggle_like(scale=0.03, seed=14)
-        result = run_experiment(
+        result = run(
             trace,
-            "B-SUB",
-            ExperimentConfig(
+            ExperimentSpec(
                 ttl_min=600.0,
                 min_rate_per_s=1 / 3600.0,
                 carried_capacity=20,

@@ -132,17 +132,14 @@ class TestRelaySemantics:
 class TestRawEncodingMode:
     @pytest.fixture(scope="class")
     def runs(self):
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro.api import ExperimentSpec, run
         from repro.traces.synthetic import haggle_like
 
         trace = haggle_like(scale=0.03, seed=20)
         base = dict(ttl_min=600.0, min_rate_per_s=1 / 3600.0)
         return {
-            "tcbf": run_experiment(trace, "B-SUB", ExperimentConfig(**base)),
-            "raw": run_experiment(
-                trace, "B-SUB",
-                ExperimentConfig(interest_encoding="raw", **base),
-            ),
+            "tcbf": run(trace, ExperimentSpec(**base)),
+            "raw": run(trace, ExperimentSpec(interest_encoding="raw", **base)),
         }
 
     def test_raw_mode_has_zero_false_positives(self, runs):
@@ -153,13 +150,13 @@ class TestRawEncodingMode:
         """The TCBF's cost: relay-filter false positives inject
         messages nobody wants (Sec. VI-B); exact strings never do.
         A 64-bit filter makes the collisions frequent enough to assert."""
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro.api import ExperimentSpec, run
         from repro.traces.synthetic import haggle_like
 
         trace = haggle_like(scale=0.03, seed=20)
-        crowded = run_experiment(
-            trace, "B-SUB",
-            ExperimentConfig(
+        crowded = run(
+            trace,
+            ExperimentSpec(
                 ttl_min=600.0, min_rate_per_s=1 / 3600.0,
                 num_bits=64, num_hashes=4,
             ),

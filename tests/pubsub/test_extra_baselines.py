@@ -1,10 +1,13 @@
 """Tests for the Spray-and-Wait extension baseline."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro import api
+from repro.api import ExperimentSpec
 from repro.dtn.events import MessageEvent
 from repro.dtn.simulator import Simulation
-from repro.experiments import ExperimentConfig, run_experiment
 from repro.pubsub.extra_baselines import SprayAndWaitProtocol
 from repro.pubsub.messages import Message
 from repro.pubsub.metrics import MetricsCollector
@@ -97,9 +100,9 @@ class TestComparative:
     @pytest.fixture(scope="class")
     def results(self):
         trace = haggle_like(scale=0.03, seed=46)
-        config = ExperimentConfig(ttl_min=600.0, min_rate_per_s=1 / 3600.0)
+        spec = ExperimentSpec(ttl_min=600.0, min_rate_per_s=1 / 3600.0)
         return {
-            name: run_experiment(trace, name, config)
+            name: api.run(trace, spec.with_protocol(name))
             for name in ("PUSH", "B-SUB", "SPRAY", "PULL")
         }
 
@@ -122,14 +125,9 @@ class TestComparative:
 
     def test_spray_copies_config(self):
         trace = haggle_like(scale=0.02, seed=47)
-        few = run_experiment(
-            trace, "SPRAY",
-            ExperimentConfig(ttl_min=600.0, min_rate_per_s=1 / 7200.0,
-                             spray_copies=2),
+        spec = ExperimentSpec(
+            protocol="SPRAY", ttl_min=600.0, min_rate_per_s=1 / 7200.0
         )
-        many = run_experiment(
-            trace, "SPRAY",
-            ExperimentConfig(ttl_min=600.0, min_rate_per_s=1 / 7200.0,
-                             spray_copies=16),
-        )
+        few = api.run(trace, replace(spec, spray_copies=2))
+        many = api.run(trace, replace(spec, spray_copies=16))
         assert many.summary.delivery_ratio >= few.summary.delivery_ratio

@@ -1,10 +1,12 @@
 """Tests for PUSH's summary-vector exchange modes."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.api import ExperimentSpec, run
 from repro.dtn.events import MessageEvent
 from repro.dtn.simulator import Simulation
-from repro.experiments import ExperimentConfig, run_experiment
 from repro.pubsub.baselines import PushProtocol
 from repro.pubsub.messages import Message
 from repro.pubsub.metrics import MetricsCollector
@@ -77,12 +79,11 @@ class TestModes:
 class TestEndToEnd:
     def test_delivery_identical_across_modes_without_bandwidth_limit(self):
         trace = haggle_like(scale=0.015, seed=44)
-        config = dict(ttl_min=300.0, min_rate_per_s=1 / 7200.0)
+        spec = ExperimentSpec(
+            protocol="PUSH", ttl_min=300.0, min_rate_per_s=1 / 7200.0
+        )
         results = {
-            mode: run_experiment(
-                trace, "PUSH",
-                ExperimentConfig(push_summary_exchange=mode, **config),
-            )
+            mode: run(trace, replace(spec, push_summary_exchange=mode))
             for mode in ("free", "ids", "bloom")
         }
         ratios = {m: r.summary.delivery_ratio for m, r in results.items()}
@@ -91,15 +92,11 @@ class TestEndToEnd:
 
     def test_realistic_push_pays_for_its_knowledge(self):
         trace = haggle_like(scale=0.015, seed=44)
-        config = dict(ttl_min=300.0, min_rate_per_s=1 / 7200.0)
-        free = run_experiment(
-            trace, "PUSH", ExperimentConfig(push_summary_exchange="free", **config)
+        spec = ExperimentSpec(
+            protocol="PUSH", ttl_min=300.0, min_rate_per_s=1 / 7200.0
         )
-        ids = run_experiment(
-            trace, "PUSH", ExperimentConfig(push_summary_exchange="ids", **config)
-        )
-        bloom = run_experiment(
-            trace, "PUSH", ExperimentConfig(push_summary_exchange="bloom", **config)
-        )
+        free = run(trace, replace(spec, push_summary_exchange="free"))
+        ids = run(trace, replace(spec, push_summary_exchange="ids"))
+        bloom = run(trace, replace(spec, push_summary_exchange="bloom"))
         assert ids.engine.bytes_transferred > bloom.engine.bytes_transferred
         assert bloom.engine.bytes_transferred > free.engine.bytes_transferred

@@ -1,13 +1,11 @@
-"""The typed public API (``repro.api``) and its deprecation shims.
+"""The typed public API (``repro.api``).
 
-Three contracts under test:
+Two contracts under test:
 
-1. ``ExperimentSpec`` round-trips losslessly to/from the engine-level
-   ``ExperimentConfig`` and validates its inputs eagerly;
-2. the ``run()``/``sweep()``/``replicate()`` entry points produce the
-   same numbers as the legacy call paths they replace;
-3. every legacy entry point still works but warns exactly once with a
-   ``DeprecationWarning`` pointing at its typed replacement.
+1. ``ExperimentSpec`` carries the paper's Sec. VII-A defaults and
+   validates its inputs eagerly;
+2. the ``run()``/``sweep()`` entry points guard their arguments and
+   run without warnings.
 """
 
 import dataclasses
@@ -15,15 +13,9 @@ import warnings
 
 import pytest
 
-from repro.api import ExperimentSpec, replicate, run, sweep
-from repro.experiments import (
-    ExperimentConfig,
-    df_sweep,
-    run_experiment,
-    run_replicated,
-    ttl_sweep,
-)
+from repro.api import ExperimentSpec, run, sweep
 from repro.faults import FaultSpec
+from repro.pubsub.protocol import BsubConfig
 from repro.traces import haggle_like
 
 CONFIG = dict(
@@ -39,9 +31,20 @@ def trace():
 class TestSpecValidation:
     def test_defaults_mirror_engine_defaults(self):
         spec = ExperimentSpec()
-        config = spec.to_config()
-        assert config == ExperimentConfig()
         assert spec.protocol == "B-SUB"
+        # Sec. VII-A: m = 256, k = 4, C = 50, ℂ = 3, election 3/5 over
+        # W = 5 h, minimum message rate 1 per 30 min.
+        assert (spec.num_bits, spec.num_hashes) == (256, 4)
+        assert spec.initial_value == 50.0
+        assert spec.copy_limit == 3
+        assert (spec.election_lower, spec.election_upper) == (3, 5)
+        assert spec.election_window_s == 5 * 3600.0
+        assert spec.min_rate_per_s == 1.0 / 1800.0
+        assert spec.df_per_min is None  # derived from Eq. 5
+        engine = BsubConfig()
+        for name in ("num_bits", "num_hashes", "initial_value", "copy_limit",
+                     "election_lower", "election_upper", "election_window_s"):
+            assert getattr(spec, name) == getattr(engine, name), name
 
     def test_unknown_protocol_rejected_eagerly(self):
         with pytest.raises(ValueError, match="protocol"):
@@ -57,22 +60,6 @@ class TestSpecValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             ExperimentSpec().ttl_min = 10.0
 
-
-class TestRoundTrip:
-    def test_to_config_from_config_is_identity(self):
-        spec = ExperimentSpec(
-            ttl_min=240.0, df_per_min=0.4, num_bits=512, num_hashes=5,
-            copy_limit=2, faults=FaultSpec(frame_loss=0.1),
-            protocol="PULL",
-        )
-        back = ExperimentSpec.from_config(spec.to_config(), protocol="PULL")
-        assert back == spec
-
-    def test_df_rename_maps_to_engine_field(self):
-        config = ExperimentSpec(df_per_min=0.25).to_config()
-        assert config.decay_factor_per_min == 0.25
-        assert ExperimentSpec.from_config(config).df_per_min == 0.25
-
     def test_with_helpers_return_new_specs(self):
         spec = ExperimentSpec()
         assert spec.with_protocol("PUSH").protocol == "PUSH"
@@ -81,53 +68,6 @@ class TestRoundTrip:
         faults = FaultSpec(frame_loss=0.2)
         assert spec.with_faults(faults).faults is faults
         assert spec.faults is None  # original untouched
-
-
-class TestEquivalence:
-    """New entry points reproduce the legacy numbers exactly."""
-
-    def test_run_matches_run_experiment(self, trace):
-        config = ExperimentConfig(**CONFIG)
-        new = run(trace, ExperimentSpec.from_config(config))
-        with pytest.warns(DeprecationWarning, match="repro.api.run"):
-            old = run_experiment(trace, "B-SUB", config)
-        assert new.summary == old.summary
-        assert new.decay_factor_per_min == old.decay_factor_per_min
-
-    def test_sweep_ttl_matches_ttl_sweep(self, trace):
-        config = ExperimentConfig(**CONFIG)
-        ttls = [60.0, 120.0]
-        new = sweep(trace, ExperimentSpec.from_config(config),
-                    ttl_min=ttls, protocols=["B-SUB"])
-        with pytest.warns(DeprecationWarning, match="repro.api.sweep"):
-            old = ttl_sweep(trace, ttls, protocols=["B-SUB"],
-                            base_config=config)
-        assert [r.summary for r in new["B-SUB"]] == [
-            r.summary for r in old["B-SUB"]
-        ]
-
-    def test_sweep_df_matches_df_sweep(self, trace):
-        config = ExperimentConfig(**CONFIG)
-        dfs = [0.0, 0.5]
-        new = sweep(trace, ExperimentSpec.from_config(config), df_per_min=dfs)
-        with pytest.warns(DeprecationWarning, match="repro.api.sweep"):
-            old = df_sweep(trace, dfs, ttl_min=CONFIG["ttl_min"],
-                           base_config=config)
-        assert [r.summary for r in new] == [r.summary for r in old]
-        assert [r.decay_factor_per_min for r in new] == dfs
-
-    def test_replicate_matches_run_replicated(self):
-        config = ExperimentConfig(**CONFIG)
-
-        def factory(seed):
-            return haggle_like(scale=0.01, seed=seed)
-
-        new = replicate(factory, ExperimentSpec.from_config(config),
-                        seeds=(0, 1))
-        with pytest.warns(DeprecationWarning, match="repro.api.replicate"):
-            old = run_replicated(factory, "B-SUB", config, seeds=(0, 1))
-        assert new.metrics == old.metrics
-        assert new["delivery_ratio"].count == 2
 
 
 class TestSweepGuards:
@@ -142,16 +82,8 @@ class TestSweepGuards:
             sweep(trace, df_per_min=[0.1], protocols=["B-SUB"])
 
 
-class TestDeprecationShims:
-    def test_every_shim_warns(self, trace):
-        # The message pattern is load-bearing: pyproject's filterwarnings
-        # silences exactly these strings for downstream suites.
-        config = ExperimentConfig(**CONFIG)
-        with pytest.warns(DeprecationWarning,
-                          match="is deprecated; use repro.api"):
-            run_experiment(trace, "B-SUB", config)
-
-    def test_new_path_never_warns(self, trace):
+class TestEntryPoints:
+    def test_run_never_warns(self, trace):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            run(trace, ExperimentSpec.from_config(ExperimentConfig(**CONFIG)))
+            run(trace, ExperimentSpec(**CONFIG))

@@ -9,7 +9,8 @@ simulation and checks the conserved quantities.
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_experiment
+from repro import api
+from repro.api import ExperimentSpec
 from repro.pubsub.adaptive import AdaptiveDecayConfig
 from repro.traces.synthetic import haggle_like
 
@@ -22,7 +23,7 @@ def trace():
 def run(trace, **overrides):
     defaults = dict(ttl_min=300.0, min_rate_per_s=1 / 7200.0)
     defaults.update(overrides)
-    return run_experiment(trace, "B-SUB", ExperimentConfig(**defaults))
+    return api.run(trace, ExperimentSpec(**defaults))
 
 
 def assert_sane(result):
@@ -47,7 +48,7 @@ class TestSingleFeatures:
         assert_sane(
             run(
                 trace,
-                decay_factor_per_min=0.1,
+                df_per_min=0.1,
                 adaptive_df=AdaptiveDecayConfig(target_fpr=0.01),
             )
         )
@@ -82,7 +83,7 @@ class TestCombinations:
             trace,
             relay_fill_threshold=0.25,
             relay_max_filters=3,
-            decay_factor_per_min=0.1,
+            df_per_min=0.1,
             adaptive_df=AdaptiveDecayConfig(target_fpr=0.01, interval_s=900.0),
             carried_capacity=30,
         )
@@ -114,7 +115,7 @@ class TestCombinations:
         result = run(
             trace,
             broker_broker_additive_merge=True,
-            decay_factor_per_min=0.2,
+            df_per_min=0.2,
             adaptive_df=AdaptiveDecayConfig(target_fpr=0.02),
         )
         assert_sane(result)
@@ -130,7 +131,7 @@ class TestCombinations:
             interests_per_node=2,
             relay_fill_threshold=0.3,
             relay_max_filters=3,
-            decay_factor_per_min=0.15,
+            df_per_min=0.15,
             adaptive_df=AdaptiveDecayConfig(target_fpr=0.02, interval_s=1200.0),
             carried_capacity=40,
             push_buffer_capacity=40,  # harmless for B-SUB

@@ -8,9 +8,8 @@ trace-dependent; orderings are not.
 
 import pytest
 
+from repro.api import ExperimentSpec, run
 from repro.core.analysis import false_positive_rate
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.traces.synthetic import haggle_like, mit_reality_like
 
 
@@ -21,9 +20,9 @@ def trace():
 
 @pytest.fixture(scope="module")
 def results(trace):
-    config = ExperimentConfig(ttl_min=600.0, min_rate_per_s=1 / 3600.0)
+    spec = ExperimentSpec(ttl_min=600.0, min_rate_per_s=1 / 3600.0)
     return {
-        name: run_experiment(trace, name, config)
+        name: run(trace, spec.with_protocol(name))
         for name in ("PUSH", "B-SUB", "PULL")
     }
 
@@ -93,9 +92,11 @@ class TestCrossTrace:
     def test_mit_sparser_lower_delivery(self):
         """Fig. 8 vs Fig. 7: 'the MIT Reality trace forms a sparser
         network ... so the delivery ratio is lower'."""
-        config = ExperimentConfig(ttl_min=600.0, min_rate_per_s=1 / 3600.0)
-        haggle = run_experiment(haggle_like(scale=0.08, seed=1), "PUSH", config)
-        mit = run_experiment(mit_reality_like(scale=0.08, seed=1), "PUSH", config)
+        spec = ExperimentSpec(
+            protocol="PUSH", ttl_min=600.0, min_rate_per_s=1 / 3600.0
+        )
+        haggle = run(haggle_like(scale=0.08, seed=1), spec)
+        mit = run(mit_reality_like(scale=0.08, seed=1), spec)
         assert mit.summary.delivery_ratio < haggle.summary.delivery_ratio
 
 

@@ -13,7 +13,7 @@ import repro
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "1.1.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_headline_exports(self):
         for name in (
@@ -67,6 +67,21 @@ class TestSurfaceSnapshot:
         assert sorted(repro.api.__all__) == [
             "ExperimentSpec", "LoadSpec", "ServeSpec", "load",
             "replicate", "resilience", "run", "serve", "sweep",
+        ]
+
+    def test_experiments_module_all(self):
+        import repro.experiments
+
+        assert sorted(repro.experiments.__all__) == [
+            "ALL_PROTOCOLS", "DF_SWEEP_TTL_MIN", "ExperimentSpec",
+            "MetricStats", "PAPER_DF_VALUES_PER_MIN", "PAPER_TABLE_I",
+            "PAPER_TTL_VALUES_MIN", "PROTOCOL_NAMES", "ReplicatedResult",
+            "ResilienceReport", "RunResult", "RunTask", "ascii_chart",
+            "average_peers_met_within", "derive_decay_factor",
+            "execute_tasks", "figure_series", "format_observability",
+            "format_table", "format_table_i", "format_table_ii",
+            "metric_series", "resolve_jobs", "series_table",
+            "table_i_rows", "table_ii_rows",
         ]
 
     def test_faults_module_all(self):
@@ -177,9 +192,8 @@ class TestSubpackageSurfaces:
                 "generate_message_events",
             ]),
             ("repro.experiments", [
-                "ExperimentConfig", "run_experiment", "ttl_sweep", "df_sweep",
-                "run_replicated", "format_table_i", "format_table_ii",
-                "ascii_chart", "ALL_PROTOCOLS",
+                "format_table_i", "format_table_ii", "ascii_chart",
+                "ALL_PROTOCOLS",
             ]),
             ("repro.api", [
                 "ExperimentSpec", "ServeSpec", "LoadSpec", "run", "sweep",

@@ -9,9 +9,9 @@ import math
 
 import pytest
 
+from repro.api import ExperimentSpec, run
 from repro.dtn.events import MessageEvent
 from repro.dtn.simulator import Simulation
-from repro.experiments import ExperimentConfig, run_experiment
 from repro.pubsub.baselines import PushProtocol
 from repro.pubsub.messages import Message
 from repro.pubsub.metrics import MetricsCollector
@@ -29,13 +29,13 @@ def tiny_trace():
 def fast(**overrides):
     defaults = dict(ttl_min=120.0, min_rate_per_s=1 / 7200.0)
     defaults.update(overrides)
-    return ExperimentConfig(**defaults)
+    return ExperimentSpec(**defaults)
 
 
 class TestStarvedChannels:
     def test_zero_effective_bandwidth(self):
         """A rate too small for even one filter: nothing moves, nothing breaks."""
-        result = run_experiment(tiny_trace(), "B-SUB", fast(rate_bps=0.01))
+        result = run(tiny_trace(), fast(protocol="B-SUB", rate_bps=0.01))
         assert result.summary.num_deliveries == 0
         assert result.engine.bytes_transferred == 0.0
         assert result.engine.refused_transfers > 0
@@ -43,8 +43,8 @@ class TestStarvedChannels:
     def test_push_on_trickle_channel(self):
         """A few bytes per contact: a handful of tiny messages may trickle
         through but flooding is crippled versus full bandwidth."""
-        starved = run_experiment(tiny_trace(), "PUSH", fast(rate_bps=8))
-        full = run_experiment(tiny_trace(), "PUSH", fast(rate_bps=None))
+        starved = run(tiny_trace(), fast(protocol="PUSH", rate_bps=8))
+        full = run(tiny_trace(), fast(protocol="PUSH", rate_bps=None))
         assert starved.engine.refused_transfers > 0
         assert (
             starved.summary.num_intended_deliveries
@@ -53,7 +53,7 @@ class TestStarvedChannels:
 
     def test_protocols_still_account_contacts(self):
         trace = tiny_trace()
-        result = run_experiment(trace, "PULL", fast(rate_bps=1))
+        result = run(trace, fast(protocol="PULL", rate_bps=1))
         assert result.engine.num_contacts == trace.num_contacts
 
 
@@ -75,11 +75,11 @@ class TestDegenerateInterests:
 
     def test_everyone_wants_the_same_key(self):
         trace = tiny_trace()
-        config = fast(interests_per_node=1, interest_seed=1)
+        spec = fast(protocol="PUSH", interests_per_node=1, interest_seed=1)
         from repro.workload.keys import KeyDistribution
 
         monoculture = KeyDistribution.uniform(["TheOnlyTopic"])
-        result = run_experiment(trace, "PUSH", config, monoculture)
+        result = run(trace, spec, distribution=monoculture)
         # every message is wanted by every other node
         assert result.summary.num_intended_pairs == (
             result.summary.num_messages * (trace.num_nodes - 1)
@@ -89,9 +89,7 @@ class TestDegenerateInterests:
         """An 8-bit filter matches everything; deliveries explode but
         the metrics still separate intended from false."""
         trace = tiny_trace()
-        result = run_experiment(
-            trace, "B-SUB", fast(num_bits=8, num_hashes=2)
-        )
+        result = run(trace, fast(protocol="B-SUB", num_bits=8, num_hashes=2))
         summary = result.summary
         assert summary.num_deliveries >= summary.num_intended_deliveries
         assert (
@@ -127,9 +125,7 @@ class TestHostileTiming:
     def test_extreme_decay_factor(self):
         """DF so large interests die instantly: B-SUB degenerates to
         direct delivery only, without errors."""
-        result = run_experiment(
-            tiny_trace(), "B-SUB", fast(decay_factor_per_min=1e6)
-        )
+        result = run(tiny_trace(), fast(protocol="B-SUB", df_per_min=1e6))
         summary = result.summary
         assert 0.0 <= summary.delivery_ratio <= 1.0
         # relay path dead -> at most direct-contact deliveries
@@ -139,8 +135,9 @@ class TestHostileTiming:
         """High message rate + tiny TTL: buffers must not grow without
         bound thanks to expiry purging."""
         trace = haggle_like(scale=0.01, seed=31)
-        config = fast(ttl_min=5.0, min_rate_per_s=1 / 300.0)
-        result = run_experiment(trace, "PUSH", config)
+        result = run(
+            trace, fast(protocol="PUSH", ttl_min=5.0, min_rate_per_s=1 / 300.0)
+        )
         assert result.summary.num_messages > 1000
         assert 0.0 <= result.summary.delivery_ratio <= 1.0
 
@@ -149,14 +146,14 @@ class TestEmptyWorlds:
     def test_empty_trace_all_protocols(self):
         trace = ContactTrace([], nodes=range(5), name="void")
         for name in ("PUSH", "B-SUB", "PULL"):
-            result = run_experiment(trace, name, fast())
+            result = run(trace, fast(protocol=name))
             assert result.summary.num_deliveries == 0
             assert result.engine.num_contacts == 0
 
     def test_two_hermits(self):
         """Two nodes that never meet: messages are created and expire."""
         trace = ContactTrace([], nodes=range(2), name="hermits")
-        result = run_experiment(trace, "B-SUB", fast())
+        result = run(trace, fast(protocol="B-SUB"))
         assert result.summary.num_messages == 0  # zero centrality -> no rate
 
     def test_single_pair_dense_meetings(self):
@@ -177,14 +174,14 @@ class TestConservation:
     def test_deliveries_never_exceed_messages_times_nodes(self):
         trace = tiny_trace()
         for name in ("PUSH", "B-SUB", "PULL"):
-            result = run_experiment(trace, name, fast())
+            result = run(trace, fast(protocol=name))
             summary = result.summary
             assert summary.num_deliveries <= (
                 summary.num_messages * trace.num_nodes
             )
 
     def test_forwardings_nonnegative_and_bounded(self):
-        result = run_experiment(tiny_trace(), "PUSH", fast())
+        result = run(tiny_trace(), fast(protocol="PUSH"))
         assert 0 <= result.summary.num_forwardings
         # epidemic: at most messages x (nodes - 1) replications
         assert result.summary.num_forwardings <= (
@@ -192,7 +189,7 @@ class TestConservation:
         )
 
     def test_tx_equals_rx(self):
-        result = run_experiment(tiny_trace(), "B-SUB", fast())
+        result = run(tiny_trace(), fast(protocol="B-SUB"))
         tx = sum(result.engine.tx_bytes_by_node.values())
         rx = sum(result.engine.rx_bytes_by_node.values())
         assert tx == pytest.approx(rx)

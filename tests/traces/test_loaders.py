@@ -80,12 +80,12 @@ class TestWhitespaceLoader:
 
     def test_roundtrips_into_simulation(self, tmp_path):
         """A loaded trace plugs straight into the experiment runner."""
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro.api import ExperimentSpec, run
 
         path = tmp_path / "t.txt"
         lines = [f"A B {i * 100} {i * 100 + 50}" for i in range(20)]
         lines += [f"B C {i * 100 + 60} {i * 100 + 90}" for i in range(20)]
         path.write_text("\n".join(lines))
         trace = load_whitespace_trace(path)
-        result = run_experiment(trace, "PUSH", ExperimentConfig(ttl_min=60))
+        result = run(trace, ExperimentSpec(protocol="PUSH", ttl_min=60))
         assert result.summary.num_messages >= 0  # ran to completion

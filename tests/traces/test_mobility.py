@@ -110,12 +110,13 @@ class TestSimulation:
 
     def test_trace_runs_through_the_simulator(self):
         """A mobility-derived trace drops into the experiment runner."""
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro.api import ExperimentSpec, run
 
         trace = simulate_mobility(config(duration_s=3600.0))
-        result = run_experiment(
-            trace, "PUSH", ExperimentConfig(ttl_min=30.0, min_rate_per_s=1 / 600.0)
+        spec = ExperimentSpec(
+            protocol="PUSH", ttl_min=30.0, min_rate_per_s=1 / 600.0
         )
+        result = run(trace, spec)
         assert result.summary.num_messages > 0
 
     def test_community_structure_detectable(self):

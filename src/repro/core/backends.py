@@ -261,22 +261,24 @@ class ArrayCounterStore:
     def add_at(self, positions: Sequence[int], delta: float) -> None:
         np.add.at(self._array, np.asarray(positions, dtype=np.int64), delta)
 
+    # Float-only kernels (integer CBF stores never decay or combine).
+    # Counters are never negative, so clamping at +0.0 instead of masking
+    # yields the same bits: x - x is +0.0, and x + 0.0 and max(x, 0.0)
+    # are x for every counter x.
     def decay(self, amount: float) -> None:
         array = self._array
-        surviving = array > amount
-        np.subtract(array, amount, out=array, where=surviving)
-        array[~surviving] = 0.0
+        np.subtract(array, amount, out=array)
+        np.maximum(array, 0.0, out=array)
 
     def combine(self, other: "CounterStore", lag: float, additive: bool) -> None:
         array = self._array
         if isinstance(other, ArrayCounterStore):
-            theirs = other._array
-            contribution = theirs - lag
-            alive = (theirs > 0.0) & (contribution > 0.0)
+            contribution = other._array - lag
+            np.maximum(contribution, 0.0, out=contribution)
             if additive:
-                array[alive] += contribution[alive]
+                np.add(array, contribution, out=array)
             else:
-                array[alive] = np.maximum(array[alive], contribution[alive])
+                np.maximum(array, contribution, out=array)
             return
         for position, value in other.nonzero_items():
             decayed = value - lag
@@ -323,10 +325,10 @@ class ArrayCounterStore:
         return [int(p) for p in np.flatnonzero(self._array > 0.0)]
 
     def count(self) -> int:
-        return int(np.count_nonzero(self._array > 0.0))
+        return int(np.count_nonzero(self._array))
 
     def is_empty(self) -> bool:
-        return not (self._array > 0.0).any()
+        return not self._array.any()
 
     def copy(self) -> "ArrayCounterStore":
         clone = ArrayCounterStore(self.num_bits, integer=self._integer)

@@ -136,23 +136,27 @@ class HashFamily:
     def positions_batch(self, keys: Sequence[str]) -> np.ndarray:
         """Positions for many keys as one ``(len(keys), k)`` int64 matrix.
 
-        Row *i* equals ``positions(keys[i])`` exactly: cached keys are
-        gathered from the memoisation matrix in one fancy-indexing
-        pass (without refreshing their LRU recency — a deliberate
-        trade so the hot all-cached path stays a single vectorized
-        read), and uncached keys are hashed once each, then combined
+        Row *i* equals ``positions(keys[i])`` exactly.  When every key
+        is cached, their rows are gathered from the memoisation matrix
+        with one fancy index built from plain dict lookups (without
+        refreshing their LRU recency — a deliberate trade so the hot
+        all-cached path stays a single gather).  Otherwise cached keys
+        are gathered, uncached keys are hashed once each, then combined
         in a single vectorized double-hashing broadcast.  All keys end
-        up cached.
+        up cached.  The result is always a fresh matrix.
         """
+        cache = self._cache
+        try:
+            return self._rows[[cache[key] for key in keys]]
+        except KeyError:
+            pass
         k = self.num_hashes
         n = len(keys)
-        cache_get = self._cache.get
+        cache_get = cache.get
         index = np.fromiter(
             (cache_get(key, -1) for key in keys), dtype=np.int64, count=n
         )
         miss_mask = index < 0
-        if not miss_mask.any():
-            return self._rows[index]
         out = np.empty((n, k), dtype=np.int64)
         hit_mask = ~miss_mask
         out[hit_mask] = self._rows[index[hit_mask]]

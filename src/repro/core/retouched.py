@@ -105,17 +105,8 @@ class RetouchedTCBF(TemporalCountingBloomFilter):
 
     def copy(self) -> "RetouchedTCBF":
         """An independent deep copy preserving the cleared set."""
-        clone = RetouchedTCBF(
-            family=self.family,
-            initial_value=self.initial_value,
-            decay_factor=self.decay_factor,
-            time=self._time,
-            backend=self.backend,
-            cleared_bits=self.cleared_bits,
-        )
-        clone._store = self._store.copy()
-        clone._merged = self._merged
-        clone.version = self.version
+        clone = super().copy()
+        clone.cleared_bits = self.cleared_bits
         return clone
 
     def __repr__(self) -> str:

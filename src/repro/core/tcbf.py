@@ -428,14 +428,14 @@ class TemporalCountingBloomFilter:
             self.m_merge(fresh)
 
     def copy(self) -> "TemporalCountingBloomFilter":
-        """An independent deep copy (same family, counters, clock)."""
-        clone = TemporalCountingBloomFilter(
-            family=self.family,
-            initial_value=self.initial_value,
-            decay_factor=self.decay_factor,
-            time=self._time,
-            backend=self.backend,
-        )
+        """An independent deep copy (same family, counters, clock),
+        cloned slot by slot rather than through the constructor."""
+        clone = object.__new__(type(self))
+        clone.family = self.family
+        clone.initial_value = self.initial_value
+        clone.decay_factor = self.decay_factor
+        clone.backend = self.backend
+        clone._time = float(self._time)
         clone._store = self._store.copy()
         clone._merged = self._merged
         clone.version = self.version

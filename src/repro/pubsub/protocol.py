@@ -520,7 +520,9 @@ class BsubProtocol(Protocol):
         Repeat meetings re-add the full initial value, which is exactly
         the reinforcement mechanism of Sec. V-C: "the more frequently a
         broker meets a consumer, the higher its counter's value of the
-        consumer's interests".
+        consumer's interests".  The genuine filter is merged as sent:
+        it never decays (DF 0) and its clock is never ahead of the
+        relay's, so the merge adds exactly ``C`` at its bits.
         """
         recorder = self.recorder
         max_before = (
@@ -534,14 +536,7 @@ class BsubProtocol(Protocol):
             # natively instead of via a TCBF merge operand.
             announce(consumer.interests)
         else:
-            announcement = TemporalCountingBloomFilter(
-                family=self.family,
-                initial_value=self.config.initial_value,
-                decay_factor=0.0,
-                time=now,
-            )
-            announcement.insert_batch(list(consumer.interests))
-            broker.relay.a_merge(announcement)
+            broker.relay.a_merge(consumer.genuine)
         if recorder.enabled:
             keys = sorted(consumer.interests)
             minima = [float(broker.relay.min_counter(k)) for k in keys]
@@ -600,24 +595,23 @@ class BsubProtocol(Protocol):
         Under the raw interest encoding the match is exact and the
         false-positive path disappears entirely.
         """
-        match_kind = "exact" if self.config.interest_encoding == "raw" else "bloom"
+        interests = consumer.interests
+        own_keys = list(holder.own.keys())
+        keys = own_keys + list(holder.carried.keys())
+        if not interests or not keys:
+            return
         if self.config.interest_encoding == "raw":
-            if not consumer.interests:
-                return
-            interests = consumer.interests
-
-            def matching(keys: List[str]) -> List[str]:
-                return [k for k in keys if k in interests]
+            match_kind = "exact"
+            hits = [key in interests for key in keys]
         else:
-            bloom = consumer.genuine_bloom
-            if bloom.is_empty():
-                return
-
-            def matching(keys: List[str]) -> List[str]:
-                hits = bloom.query_batch(keys)
-                return [k for k, hit in zip(keys, hits) if hit]
-        for buffer in (holder.own, holder.carried):
-            for key in matching(list(buffer.keys())):
+            match_kind = "bloom"
+            hits = consumer.genuine_bloom.query_batch(keys)
+        split = len(own_keys)
+        for buffer, part in (
+            (holder.own, slice(None, split)),
+            (holder.carried, slice(split, None)),
+        ):
+            for key in [k for k, hit in zip(keys[part], hits[part]) if hit]:
                 for message_id in buffer.ids_for(key):
                     if consumer.has(message_id):
                         continue

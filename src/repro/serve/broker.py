@@ -411,6 +411,13 @@ class BrokerServer:
 
     # -- metrics endpoint ---------------------------------------------------
 
+    def metrics_snapshot(self) -> MetricsRegistry:
+        """The registry, with the live tailer's window gauges refreshed
+        (what ``/metrics`` serves and a fleet worker reports)."""
+        if self.tailer is not None:
+            self.tailer.refresh_registry()
+        return self.registry
+
     async def _on_metrics_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -432,11 +439,9 @@ class BrokerServer:
         if path is None:
             response = http_response(400, b"bad request\n")
         elif path == "/metrics":
-            if self.tailer is not None:
-                self.tailer.refresh_registry()
             response = http_response(
                 200,
-                self.registry.to_prom().encode("utf-8"),
+                self.metrics_snapshot().to_prom().encode("utf-8"),
                 content_type="text/plain; version=0.0.4; charset=utf-8",
             )
         elif path == "/healthz":

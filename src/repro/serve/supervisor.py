@@ -266,7 +266,7 @@ async def _worker_async(
         if kind == "peers":
             mesh.set_peers(payload["mesh_ports"])
         elif kind == "metrics":
-            conn.send(("metrics", server.registry.to_dict()))
+            conn.send(("metrics", server.metrics_snapshot().to_dict()))
         elif kind == "stop":
             break
     loop.remove_reader(conn.fileno())
@@ -279,7 +279,7 @@ async def _worker_async(
                 "worker": worker_index,
                 "summary": summary,
                 "parity": server.core.parity_counters(),
-                "metrics": server.registry.to_dict(),
+                "metrics": server.metrics_snapshot().to_dict(),
             },
         ))
     except (BrokenPipeError, OSError):

@@ -87,11 +87,44 @@ def _assert_tcbf_twins_agree(d, a):
         assert d.min_counter(key) == a.min_counter(key)
         assert bool(hits_d[KEYS.index(key)]) == d.query(key)
         assert mins_d[KEYS.index(key)] == d.min_counter(key)
+    assert len(d) == len(a) == len(d.counters())
+    assert d.is_empty() == a.is_empty() == (len(d) == 0)
+    assert d.fill_ratio() == a.fill_ratio()
+    for twin in (d, a):
+        _assert_copy_is_equal_and_independent(twin)
 
 
-@given(ops=st.lists(tcbf_op, min_size=1, max_size=25))
+def _assert_copy_is_equal_and_independent(original):
+    clone = original.copy()
+    assert type(clone) is type(original)
+    assert clone == original
+    assert clone.counters() == original.counters()
+    assert (clone.time, clone.merged, clone.backend, clone.version) == (
+        original.time, original.merged, original.backend, original.version
+    )
+    before = (original.counters(), original.merged, original.version)
+    # A-merge always adds C at the operand's bits, so the clone changes.
+    clone.a_merge(
+        TemporalCountingBloomFilter.of(
+            KEYS[:3], family=FAMILY, time=clone.time, backend=clone.backend
+        )
+    )
+    assert clone.counters() != before[0]
+    assert clone.merged
+    assert (original.counters(), original.merged, original.version) == before
+
+
+@given(
+    ops=st.lists(tcbf_op, min_size=1, max_size=25),
+    offsets=st.lists(
+        st.floats(-60.0, 12.0, allow_nan=False), min_size=25, max_size=25
+    ),
+)
 @settings(max_examples=60, deadline=None)
-def test_property_tcbf_backends_agree_over_random_ops(ops):
+def test_property_tcbf_backends_agree_over_random_ops(ops, offsets):
+    """Merge operands run up to 12 s ahead of the filter or up to 60 s
+    behind it; behind, their counters lose up to 90 (DF 1.5) on the way
+    in, more than C, so every clamp of the array merge kernels runs."""
     twins = [
         TemporalCountingBloomFilter(
             family=FAMILY, initial_value=50.0, decay_factor=1.0, backend=backend
@@ -99,8 +132,8 @@ def test_property_tcbf_backends_agree_over_random_ops(ops):
         for backend in BACKENDS
     ]
     d, a = twins
-    for step, (op, payload) in enumerate(ops):
-        _apply(twins, op, payload, merge_time=d.time + 0.5 * step)
+    for (op, payload), offset in zip(ops, offsets):
+        _apply(twins, op, payload, merge_time=d.time + offset)
         _assert_tcbf_twins_agree(d, a)
 
 

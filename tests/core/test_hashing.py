@@ -93,6 +93,16 @@ class TestPositionsBatch:
         assert batch[0].tolist() == fam.positions("cold-1")
         assert batch[2].tolist() == fam.positions("cold-2")
 
+    def test_cache_returns_fresh_matrix(self):
+        fam = HashFamily(4, 256)
+        keys = ["key", "other", "key"]
+        fam.positions_batch(keys)  # every key is cached from here on
+        first = fam.positions_batch(keys)
+        expected = first.copy()
+        first[:] = -1  # writing into the result must not poison the cache
+        assert np.array_equal(fam.positions_batch(keys), expected)
+        assert fam.positions("key") == expected[0].tolist()
+
     def test_empty_batch(self):
         fam = HashFamily(4, 256)
         batch = fam.positions_batch([])
@@ -138,6 +148,15 @@ class TestCacheEviction:
         fam.positions("a")  # refresh 'a' -> 'b' is now the LRU entry
         fam.positions("d")  # evicts 'b'
         assert set(fam._cache) == {"a", "c", "d"}
+
+    def test_batch_hits_do_not_refresh_recency(self, monkeypatch):
+        monkeypatch.setattr(HashFamily, "_CACHE_LIMIT", 2)
+        fam = HashFamily(4, 256)
+        fam.positions("a")
+        fam.positions("b")
+        fam.positions_batch(["a"])  # all-cached gather: 'a' stays the LRU
+        fam.positions("c")  # evicts 'a'
+        assert set(fam._cache) == {"b", "c"}
 
     def test_batch_populates_cache_with_eviction(self, monkeypatch):
         monkeypatch.setattr(HashFamily, "_CACHE_LIMIT", 4)

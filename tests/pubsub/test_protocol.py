@@ -1,7 +1,15 @@
 """Tests for the B-SUB protocol on hand-crafted contact scenarios."""
 
-import pytest
+import os
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.allocation import TCBFCollection
+from repro.core.backends import BACKEND_ENV_VAR, BACKENDS
+from repro.core.tcbf import TemporalCountingBloomFilter
 from repro.dtn.events import MessageEvent
 from repro.dtn.simulator import Simulation
 from repro.pubsub.messages import Message
@@ -103,6 +111,73 @@ class TestInterestPropagation:
         protocol, _ = build(interests, brokers=[1, 2], trace=trace, df_per_min=1.0)
         assert "k" not in protocol.states[1].relay
         assert "k" not in protocol.states[2].relay
+
+
+TOPICS = [f"topic-{i}" for i in range(12)]
+key_sets = st.frozensets(st.sampled_from(TOPICS), min_size=1, max_size=4)
+times = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+
+
+def _relay_state(relay):
+    """Clock and exact counters of every filter in *relay*."""
+    filters = relay.filters if isinstance(relay, TCBFCollection) else [relay]
+    return [(f.time, f.counters()) for f in filters]
+
+
+@given(
+    backend=st.sampled_from(BACKENDS),
+    filter_spec=st.sampled_from(
+        [None, "multi:threshold=0.05", "retouched:clear=3+17+42"]
+    ),
+    interests=key_sets,
+    earlier=st.lists(key_sets, max_size=4),
+    genuine_time=times,
+    relay_time=times,
+    gap=st.floats(0.0, 1e5, allow_nan=False, allow_infinity=False),
+    df_per_min=st.sampled_from([0.0, 0.25, 3.0]),
+)
+@settings(max_examples=100, deadline=None)
+def test_property_genuine_merge_equals_fresh_announcement(
+    backend, filter_spec, interests, earlier, genuine_time, relay_time, gap,
+    df_per_min,
+):
+    """A broker A-merges the consumer's genuine filter as sent.  At any
+    contact time at or after the genuine filter's clock, that gives
+    exactly the counters an announcement of the same interests, built
+    fresh at the contact time, would give."""
+    interests_map = {0: interests, 1: frozenset()}
+    config = BsubConfig(decay_factor_per_min=df_per_min, filter_spec=filter_spec)
+    now = max(genuine_time, relay_time) + gap
+    with mock.patch.dict(os.environ, {BACKEND_ENV_VAR: backend}):
+        protocol = BsubProtocol(
+            interests_map, MetricsCollector(interests_map, "B-SUB"), config
+        )
+        consumer = protocol._fresh_state(0, genuine_time)
+        brokers = []
+        for _ in range(2):
+            broker = protocol._fresh_state(1, relay_time)
+            for keys in earlier:
+                broker.relay.a_merge(
+                    TemporalCountingBloomFilter.of(
+                        keys, family=protocol.family, time=relay_time
+                    )
+                )
+            broker.relay.advance(now)  # as on_contact does first
+            brokers.append(broker)
+        as_sent, fresh = brokers
+        protocol._absorb_interests(as_sent, consumer, now)
+        fresh.relay.a_merge(
+            TemporalCountingBloomFilter.of(
+                interests,
+                family=protocol.family,
+                initial_value=config.initial_value,
+                time=now,
+            )
+        )
+    assert as_sent.relay.backend == consumer.genuine.backend == backend
+    assert _relay_state(as_sent.relay) == _relay_state(fresh.relay)
+    assert consumer.genuine.time == genuine_time
+    assert not consumer.genuine.merged
 
 
 class TestDirectDelivery:

@@ -193,6 +193,14 @@ class TestFleetRouting:
         status, body = results["metrics"]
         assert status == "HTTP/1.1 200 OK"
         assert b"serve_" in body  # merged across both workers
+        # Each worker refreshes its live window gauges before it answers
+        # the scrape, so the merged window has seen the deliveries.
+        window = [
+            line.split()[1]
+            for line in body.decode().splitlines()
+            if line.startswith("live_window_deliveries ")
+        ]
+        assert len(window) == 1 and float(window[0]) > 0
         status, body = results["healthz"]
         assert status == "HTTP/1.1 200 OK"
         doc = json.loads(body)

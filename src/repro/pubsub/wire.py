@@ -125,16 +125,25 @@ class FilterRequest:
 
 @dataclass(frozen=True)
 class MessageBundle:
-    """One or more messages with payloads."""
+    """One or more messages with payloads.
+
+    Keeps its wire bytes after the first :func:`encode_frame` (in
+    ``_wire``, not a field: equality, hash, repr and pickling see only
+    ``messages`` and ``payloads``), so a shared bundle encodes once.
+    """
 
     messages: Tuple[Message, ...]
     payloads: Tuple[bytes, ...]
+    _wire = None
 
     def __post_init__(self):
         if len(self.messages) != len(self.payloads):
             raise ValueError(
                 f"{len(self.messages)} messages but {len(self.payloads)} payloads"
             )
+
+    def __getstate__(self):
+        return {"messages": self.messages, "payloads": self.payloads}
 
 
 @dataclass(frozen=True)
@@ -241,9 +250,11 @@ def encode_message(message: Message, payload: Optional[bytes] = None) -> bytes:
             f"payload is {len(payload)} bytes; message declares "
             f"{message.size_bytes}"
         )
-    keys = sorted(message.keys)
+    keys = [k.encode("utf-8") for k in sorted(message.keys)]
     if len(keys) > 255:
         raise ValueError("at most 255 keys per message on the wire")
+    if any(len(k) > 255 for k in keys):
+        raise ValueError("message keys are at most 255 UTF-8 bytes on the wire")
     header = _MESSAGE_HEADER.pack(
         message.id,
         message.source,
@@ -252,10 +263,7 @@ def encode_message(message: Message, payload: Optional[bytes] = None) -> bytes:
         len(keys),
         message.size_bytes,
     )
-    key_block = b"".join(
-        len(k.encode("utf-8")).to_bytes(1, "little") + k.encode("utf-8")
-        for k in keys
-    )
+    key_block = b"".join(bytes((len(k),)) + k for k in keys)
     return header + key_block + payload
 
 
@@ -265,7 +273,8 @@ def decode_message(data: bytes, offset: int = 0) -> Tuple[Message, bytes, int]:
     The decoded :class:`Message` preserves the original id (it is not
     re-allocated), so receipt bookkeeping stays consistent end-to-end.
     """
-    if offset + _MESSAGE_HEADER.size > len(data):
+    size = len(data)
+    if offset + _MESSAGE_HEADER.size > size:
         raise ValueError("truncated message header")
     msg_id, source, created_at, ttl_s, num_keys, payload_len = (
         _MESSAGE_HEADER.unpack_from(data, offset)
@@ -273,27 +282,22 @@ def decode_message(data: bytes, offset: int = 0) -> Tuple[Message, bytes, int]:
     offset += _MESSAGE_HEADER.size
     keys = []
     for _ in range(num_keys):
-        if offset >= len(data):
+        if offset >= size:
             raise ValueError("truncated message key block")
         length = data[offset]
         offset += 1
-        if offset + length > len(data):
+        if offset + length > size:
             raise ValueError("truncated message key")
         keys.append(data[offset : offset + length].decode("utf-8"))
         offset += length
-    payload = bytes(data[offset : offset + payload_len])
-    if len(payload) != payload_len:
+    end = offset + payload_len
+    if end > size:
         raise ValueError("truncated message payload")
-    offset += payload_len
+    # Positional: (id, keys, source, created_at, ttl_s, size_bytes).
     message = Message(
-        id=msg_id,
-        keys=frozenset(keys),
-        source=source,
-        created_at=created_at,
-        ttl_s=ttl_s,
-        size_bytes=payload_len,
+        msg_id, frozenset(keys), source, created_at, ttl_s, payload_len
     )
-    return message, payload, offset
+    return message, bytes(data[offset:end]), end
 
 
 # -- frame codec ---------------------------------------------------------------
@@ -305,6 +309,16 @@ def _frame(frame_type: int, body: bytes) -> bytes:
 
 def encode_frame(frame: Frame) -> bytes:
     """Serialise one frame (type + length + body)."""
+    if isinstance(frame, MessageBundle):
+        if frame._wire is None:
+            parts = [len(frame.messages).to_bytes(2, "little")]
+            parts.extend(
+                encode_message(m, p) for m, p in zip(frame.messages, frame.payloads)
+            )
+            object.__setattr__(
+                frame, "_wire", _frame(FRAME_MESSAGE_BUNDLE, b"".join(parts))
+            )
+        return frame._wire
     if isinstance(frame, Hello):
         body = _HELLO_BODY.pack(
             frame.node_id, int(frame.is_broker), frame.degree, frame.time
@@ -319,12 +333,6 @@ def encode_frame(frame: Frame) -> bytes:
         return _frame(FRAME_RELAY_FILTER, encode_tcbf(frame.filter, counters="full"))
     if isinstance(frame, FilterRequest):
         return _frame(FRAME_FILTER_REQUEST, encode_bloom(frame.filter))
-    if isinstance(frame, MessageBundle):
-        parts = [len(frame.messages).to_bytes(2, "little")]
-        parts.extend(
-            encode_message(m, p) for m, p in zip(frame.messages, frame.payloads)
-        )
-        return _frame(FRAME_MESSAGE_BUNDLE, b"".join(parts))
     if isinstance(frame, Subscribe):
         parts = [len(frame.keys).to_bytes(2, "little")]
         parts.extend(
@@ -356,6 +364,18 @@ def _decode_body(
     time: float,
 ) -> Frame:
     """Decode one validated-length frame body (raises on bad content)."""
+    if frame_type == FRAME_MESSAGE_BUNDLE:
+        if len(body) < 2:
+            raise ValueError("truncated bundle count")
+        count = int.from_bytes(body[:2], "little")
+        messages: List[Message] = []
+        payloads: List[bytes] = []
+        cursor = 2
+        for _ in range(count):
+            message, payload, cursor = decode_message(body, cursor)
+            messages.append(message)
+            payloads.append(payload)
+        return MessageBundle(tuple(messages), tuple(payloads))
     if frame_type == FRAME_HELLO:
         node_id, broker_flag, degree, timestamp = _HELLO_BODY.unpack(body)
         return Hello(node_id, bool(broker_flag), degree, timestamp)
@@ -369,40 +389,28 @@ def _decode_body(
         )
     if frame_type == FRAME_FILTER_REQUEST:
         return FilterRequest(decode_bloom(body, family))
-    if frame_type == FRAME_SUBSCRIBE:
-        if len(body) < 2:
-            raise ValueError("truncated subscribe count")
-        key_count = int.from_bytes(body[:2], "little")
-        subscribe_keys: List[str] = []
-        position = 2
-        for _ in range(key_count):
-            if position >= len(body):
-                raise ValueError("truncated subscribe key block")
-            length = body[position]
-            position += 1
-            if position + length > len(body):
-                raise ValueError("truncated subscribe key")
-            subscribe_keys.append(
-                body[position : position + length].decode("utf-8")
-            )
-            position += length
-        if position != len(body):
-            raise ValueError(
-                f"{len(body) - position} trailing bytes after subscribe keys"
-            )
-        return Subscribe(tuple(subscribe_keys))
-    # FRAME_MESSAGE_BUNDLE
+    # FRAME_SUBSCRIBE
     if len(body) < 2:
-        raise ValueError("truncated bundle count")
-    count = int.from_bytes(body[:2], "little")
-    messages: List[Message] = []
-    payloads: List[bytes] = []
-    cursor = 2
-    for _ in range(count):
-        message, payload, cursor = decode_message(body, cursor)
-        messages.append(message)
-        payloads.append(payload)
-    return MessageBundle(tuple(messages), tuple(payloads))
+        raise ValueError("truncated subscribe count")
+    key_count = int.from_bytes(body[:2], "little")
+    subscribe_keys: List[str] = []
+    position = 2
+    for _ in range(key_count):
+        if position >= len(body):
+            raise ValueError("truncated subscribe key block")
+        length = body[position]
+        position += 1
+        if position + length > len(body):
+            raise ValueError("truncated subscribe key")
+        subscribe_keys.append(
+            body[position : position + length].decode("utf-8")
+        )
+        position += length
+    if position != len(body):
+        raise ValueError(
+            f"{len(body) - position} trailing bytes after subscribe keys"
+        )
+    return Subscribe(tuple(subscribe_keys))
 
 
 #: FrameError reasons that mean "the tail might still be completed by
@@ -449,11 +457,12 @@ def decode_frames(
     frames: List[Frame] = []
     offset = 0
     error: Optional[FrameError] = None
-    while offset < len(data):
-        if offset + _FRAME_HEADER.size > len(data):
+    size = len(data)
+    while offset < size:
+        if offset + _FRAME_HEADER.size > size:
             error = FrameError(
                 offset, None, "truncated_header",
-                f"{len(data) - offset} header bytes of {_FRAME_HEADER.size}",
+                f"{size - offset} header bytes of {_FRAME_HEADER.size}",
             )
             break
         frame_type, body_len = _FRAME_HEADER.unpack_from(data, offset)
@@ -472,10 +481,10 @@ def decode_frames(
             break
         start = offset + _FRAME_HEADER.size
         end = start + body_len
-        if end > len(data):
+        if end > size:
             error = FrameError(
                 offset, frame_type, "truncated_body",
-                f"declared {body_len} body bytes, {len(data) - start} remain",
+                f"declared {body_len} body bytes, {size - start} remain",
             )
             break
         body = bytes(data[start:end])
@@ -488,7 +497,7 @@ def decode_frames(
             break
         frames.append(frame)
         offset = end
-    return DecodeResult(frames=tuple(frames), error=error, consumed=offset)
+    return DecodeResult(tuple(frames), error, offset)
 
 
 class StreamDecoder:
@@ -577,13 +586,13 @@ class StreamDecoder:
             max_body_len=self.max_frame_bytes,
         )
         self.frames_decoded += len(result.frames)
-        if result.error is None or result.error.reason in RESUMABLE_REASONS:
-            # Mid-frame is the steady state: keep the tail, report no
-            # error, and wait for the next chunk.
-            self._buffer = data[result.consumed:]
-            return DecodeResult(
-                frames=result.frames, error=None, consumed=result.consumed
-            )
-        self._fatal = result.error
+        error = result.error
+        if error is not None and error.reason in RESUMABLE_REASONS:
+            # Mid-frame is the steady state: keep the tail (as bytes,
+            # whatever the chunk type), report no error, and wait.
+            self._buffer = bytes(data[result.consumed:])
+            return DecodeResult(result.frames, None, result.consumed)
+        # A clean parse consumed everything; any other error is fatal.
+        self._fatal = error
         self._buffer = b""
         return result

@@ -43,6 +43,7 @@ the online/offline parity guarantee checked by
 from __future__ import annotations
 
 import base64
+import functools
 import random
 import time as _time
 from dataclasses import dataclass, field
@@ -98,7 +99,10 @@ class ProtocolError(Exception):
 class HandleResult:
     """What one handled frame asks the transport layer to do."""
 
-    #: (session_id, frame) pairs to encode and send.
+    #: (session_id, frame) pairs to encode and send.  Frames are
+    #: immutable, so one frame object may be shared by several
+    #: recipients; a ``MessageBundle`` caches its encoding, so a
+    #: publish fanned out to N sessions is encoded once.
     outbound: List[Tuple[int, Frame]] = field(default_factory=list)
     #: (session_id, reason) sessions the core wants closed (e.g. a
     #: stale connection superseded by a reconnect).
@@ -347,7 +351,7 @@ class BrokerCore:
         session = self._session(session_id)
         session.frames_in += 1
         self._count("serve_frames_total")
-        self._count(f"serve_frames_{_frame_name(frame)}_total")
+        self._count(_frame_counter(type(frame)))
         result = HandleResult()
         if self._fault_rng is not None and self._drop_by_fault(session):
             return result
@@ -659,21 +663,22 @@ class BrokerCore:
     ) -> None:
         """Fan one publish out to locally connected recipients —
         shared by the local publish path and the peer relay, so the
-        counters and trace events are identical on both."""
+        counters and trace events are identical on both.  Every
+        recipient gets the same bundle object; the delivery counters
+        move once per publish, and only by non-zero amounts (a counter
+        exists once something was counted on it)."""
         self.registry.histogram("serve_fanout_recipients").observe(
             float(len(recipients))
         )
+        if not recipients:
+            return
+        bundle = MessageBundle((message,), (payload,))
+        n_intended = 0
         for dst in recipients:
             dst_session = self.node_sessions[dst]
             self.sessions[dst_session].deliveries_out += 1
             is_intended = dst in intended
-            self._count("serve_forwards_direct_total")
-            self._count("serve_deliveries_total")
-            self._count(
-                "serve_deliveries_intended_total"
-                if is_intended
-                else "serve_deliveries_false_total"
-            )
+            n_intended += is_intended
             if self.recorder.enabled:
                 self.recorder.emit(
                     "forward", t=now, kind="direct", msg=index,
@@ -685,10 +690,14 @@ class BrokerCore:
                     "delivery", t=now, msg=index, node=dst,
                     intended=is_intended, cause="direct",
                 )
-            result.outbound.append((
-                dst_session,
-                MessageBundle((message,), (payload,)),
-            ))
+            result.outbound.append((dst_session, bundle))
+        delivered = len(recipients)
+        self._count("serve_forwards_direct_total", delivered)
+        self._count("serve_deliveries_total", delivered)
+        if n_intended:
+            self._count("serve_deliveries_intended_total", n_intended)
+        if delivered > n_intended:
+            self._count("serve_deliveries_false_total", delivered - n_intended)
 
     # -- fleet peer protocol ------------------------------------------------
 
@@ -762,7 +771,7 @@ class BrokerCore:
 
     def _intended(
         self, keys: FrozenSet[str], publisher: int
-    ) -> FrozenSet[str]:
+    ) -> FrozenSet[int]:
         """Ground-truth intended recipients (durable subs, any liveness)."""
         nodes: Set[int] = set()
         for key in keys:
@@ -852,11 +861,12 @@ class BrokerCore:
         }
 
 
-def _frame_name(frame: Frame) -> str:
-    """Registry-friendly lowercase frame name (``MessageBundle`` ->
-    ``message_bundle``)."""
-    name = type(frame).__name__
-    return "".join(
+@functools.lru_cache(maxsize=None)
+def _frame_counter(frame_type: type) -> str:
+    """The per-type inbound frame counter, built once per type
+    (``MessageBundle`` -> ``serve_frames_message_bundle_total``)."""
+    name = "".join(
         ("_" + ch.lower()) if ch.isupper() and i else ch.lower()
-        for i, ch in enumerate(name)
+        for i, ch in enumerate(frame_type.__name__)
     )
+    return f"serve_frames_{name}_total"

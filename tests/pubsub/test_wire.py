@@ -1,5 +1,8 @@
 """Tests for the wire protocol frames."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from repro.pubsub.wire import (
     InterestAnnouncement,
     MessageBundle,
     RelayFilter,
+    StreamDecoder,
     decode_frames,
     decode_message,
     encode_frame,
@@ -66,6 +70,15 @@ class TestMessageCodec:
         with pytest.raises(ValueError, match="truncated"):
             decode_message(data)
 
+    def test_over_long_key_is_a_value_error(self):
+        m = Message.create("k" * 300, 0, 0.0, 10.0, size_bytes=1)
+        with pytest.raises(ValueError, match="255"):
+            encode_message(m)
+        bundle = MessageBundle((m,), (b"x",))
+        for _ in range(2):  # a failed encode caches nothing
+            with pytest.raises(ValueError, match="255"):
+                encode_frame(bundle)
+
     def test_unicode_keys(self):
         m = Message.create("日本語トレンド", 0, 0.0, 10.0, size_bytes=1)
         decoded, _, _ = decode_message(encode_message(m))
@@ -111,6 +124,21 @@ class TestFrames:
         bundle = MessageBundle(messages, tuple(bytes(10) for _ in range(3)))
         (frame,) = roundtrip([bundle], family)
         assert frame == bundle
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_clean_feed_leaves_the_stream_at_a_boundary(self, family, kind):
+        m = Message.create("k", 0, 0.0, 10.0, size_bytes=3)
+        frames = [Hello(1, False, 0, 0.0), MessageBundle((m,), (b"abc",))]
+        data = b"".join(encode_frame(f) for f in frames)
+        decoder = StreamDecoder(family, 50.0)
+        result = decoder.feed(kind(data))
+        assert result.ok and list(result) == frames
+        assert decoder.pending == 0 and decoder.at_boundary
+        assert list(decoder.feed(kind(data[:-4]))) == frames[:1]
+        assert decoder.pending > 0 and not decoder.at_boundary
+        result = decoder.feed(kind(data[-4:]))
+        assert result.ok and list(result) == frames[1:]
+        assert decoder.pending == 0 and decoder.at_boundary
 
     def test_bundle_length_mismatch_rejected(self):
         m = Message.create("k", 0, 0.0, 10.0)
@@ -243,3 +271,45 @@ def test_property_message_roundtrip(keys, size):
     decoded, payload, _ = decode_message(encode_message(m))
     assert decoded == m
     assert len(payload) == size
+
+
+_bundle_messages = st.lists(
+    st.builds(
+        Message,
+        id=st.integers(0, 2**64 - 1),
+        keys=st.frozensets(
+            st.text(
+                alphabet=st.characters(blacklist_categories=("Cs",)),
+                min_size=1,
+                max_size=8,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        source=st.integers(0, 2**32 - 1),
+        created_at=st.floats(allow_nan=False),
+        ttl_s=st.floats(allow_nan=False),
+        size_bytes=st.integers(0, 32),
+    ),
+    max_size=4,
+)
+
+
+@given(messages=_bundle_messages)
+@settings(max_examples=50)
+def test_property_encoded_bundle_behaves_like_a_fresh_one(messages):
+    def make():
+        return MessageBundle(
+            tuple(dataclasses.replace(m) for m in messages),
+            tuple(bytes(range(m.size_bytes)) for m in messages),
+        )
+
+    bundle, fresh = make(), make()
+    blob = encode_frame(bundle)
+    assert bundle == fresh and hash(bundle) == hash(fresh)
+    assert repr(bundle) == repr(fresh)
+    assert pickle.dumps(bundle) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(bundle)) == fresh
+    assert encode_frame(bundle) == encode_frame(fresh) == blob
+    (decoded,) = decode_frames(blob, HashFamily(4, 256, seed=1), 50.0)
+    assert decoded == bundle

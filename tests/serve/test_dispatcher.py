@@ -5,10 +5,15 @@ with an injected clock and an in-memory recorder, asserting on
 outbound frames, durable state, trace events, and registry counters.
 """
 
+import base64
+import hashlib
+import json
+
 import pytest
 
 from repro.faults.spec import FaultSpec
 from repro.obs.recorder import TraceRecorder
+from repro.pubsub import wire
 from repro.pubsub.messages import Message
 from repro.pubsub.wire import (
     FilterRequest,
@@ -17,6 +22,7 @@ from repro.pubsub.wire import (
     MessageBundle,
     RelayFilter,
     Subscribe,
+    encode_frame,
 )
 from repro.core.tcbf import TemporalCountingBloomFilter
 from repro.serve.dispatcher import BrokerCore, ProtocolError
@@ -294,3 +300,134 @@ class TestFaultsAndShutdown:
         assert core.registry.counter(
             "serve_decode_error_unknown_frame_type_total"
         ).value == 1
+
+
+def scripted_run(matching):
+    """A fixed session script on a 2-worker core; returns registry
+    snapshots before and after shutdown (minus the wall-clock latency
+    histogram), the recorded events and every transport action, all
+    JSON-able."""
+    clock = Clock()
+    recorder = TraceRecorder()
+    spec = ServeSpec(matching=matching, num_bits=5, num_hashes=1,
+                     df_per_min=1.0)
+    core = BrokerCore(spec, recorder=recorder, clock=clock,
+                      worker_index=0, num_workers=2)
+    log = []
+
+    def step(result):
+        log.append([
+            [[target, encode_frame(frame).hex()]
+             for target, frame in result.outbound],
+            result.close, result.peer_casts,
+        ])
+
+    def send(session_id, frame):
+        clock.now += 0.25
+        step(core.handle_frame(session_id, frame))
+
+    def bundle(*items):
+        messages = tuple(
+            Message(msg_id, frozenset(keys), source, clock.now, 600.0, 3)
+            for msg_id, keys, source in items
+        )
+        return MessageBundle(messages, tuple(b"p%02d" % m.id for m in messages))
+
+    interests = {
+        1: ("sports", "news"), 2: ("sports",), 3: ("weather",),
+        4: ("news",), 5: ("music", "sports"), 6: (),
+    }
+    for node in interests:
+        core.connect(node, f"peer:{node}")
+        send(node, Hello(node, False, 0, 0.0))
+    for node, keys in interests.items():
+        if keys:
+            send(node, Subscribe(keys))
+    send(6, bundle((1, ["sports"], 6)))
+    send(3, bundle((2, ["nobody"], 3)))  # no subscriber has this key
+    core.disconnect(4)  # node 4 stays an intended subscriber, offline
+    send(2, bundle((3, ["news"], 2), (4, ["sports", "weather"], 2)))
+    send(2, Subscribe(("weather",)))  # re-subscribe
+    send(3, bundle((5, ["weather"], 3)))
+    core.connect(7, "peer:4-again")
+    send(7, Hello(4, False, 0, 0.0))
+    step(core.apply_peer_op({"op": "sub", "node": 9, "keys": ["news"]}))
+    step(core.apply_peer_op({
+        "op": "pub", "msg": 101, "publisher": 9, "keys": ["news"],
+        "created_at": clock.now, "ttl_s": 600.0, "size_bytes": 3,
+        "intended": [1, 4, 8],
+        "payload": base64.b64encode(b"xyz").decode("ascii"),
+    }))
+    step(core.apply_peer_op({"op": "claim", "node": 5}))
+    snapshots = [core.registry.to_dict()]
+    clock.now += 1.0
+    core.shutdown()  # reads, and so creates, every parity counter
+    snapshots.append(core.registry.to_dict())
+    for registry in snapshots:
+        del registry["histograms"]["serve_publish_seconds"]
+    return snapshots, recorder.to_jsonl(), log
+
+
+def old_frame_name(frame_type):
+    """The per-frame snake-case helper the counter name was once
+    rebuilt with on every inbound frame."""
+    return "".join(
+        ("_" + ch.lower()) if ch.isupper() and i else ch.lower()
+        for i, ch in enumerate(frame_type.__name__)
+    )
+
+
+#: sha256 of :func:`scripted_run`'s output, pinned with a bundle and
+#: three counter bumps per recipient; one shared bundle and counters
+#: moved by count per publish must reproduce it exactly.
+SCRIPTED_DIGESTS = {
+    "exact": "bcc91d90e223dd8de79c2bc2013db618a3b05290bea17ac29dead9de3baf2c07",
+    "bloom": "40ff91989e7cbec21693feb859c9a28f6ec613ccddedb013379e4d555b7a1153",
+}
+
+
+class TestFanoutOutputs:
+    @pytest.mark.parametrize("matching", sorted(SCRIPTED_DIGESTS))
+    def test_scripted_registry_and_trace_digest(self, matching):
+        snapshots, events, log = scripted_run(matching)
+        counters = snapshots[0]["counters"]
+        assert counters["serve_deliveries_intended_total"] > 0
+        if matching == "bloom":
+            assert counters["serve_deliveries_false_total"] > 0
+        else:
+            assert "serve_deliveries_false_total" not in counters
+        blob = json.dumps([snapshots, events, log], sort_keys=True)
+        digest = hashlib.sha256(blob.encode()).hexdigest()
+        assert digest == SCRIPTED_DIGESTS[matching]
+
+    def test_fanout_shares_one_bundle_encoded_once(self, monkeypatch):
+        core = make_core()
+        subscribers = range(1, 9)
+        for node in subscribers:
+            connect_node(core, node, node)
+            core.handle_frame(node, Subscribe(("sports",)))
+        connect_node(core, 100, 100)
+        result = publish(core, 100, ["sports"], source=100)
+        assert [t for t, _ in result.outbound] == list(subscribers)
+        bundles = {id(frame) for _, frame in result.outbound}
+        assert len(bundles) == 1
+        calls = []
+        real = wire.encode_message
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(wire, "encode_message", counting)
+        encoded = {encode_frame(frame) for _, frame in result.outbound}
+        assert len(calls) == 1 and len(encoded) == 1
+
+    def test_frame_counter_names_match_the_snake_case_helper(self):
+        from repro.serve.dispatcher import _frame_counter
+
+        core = make_core()
+        assert core.dispatcher.frame_types
+        for frame_type in core.dispatcher.frame_types:
+            assert _frame_counter(frame_type) == (
+                f"serve_frames_{old_frame_name(frame_type)}_total"
+            )

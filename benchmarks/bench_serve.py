@@ -48,7 +48,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.serve import BrokerFleet, BrokerServer, ServeSpec, event_loop_name
+from repro.serve import ServeSpec, event_loop_name, start_broker
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_serve.json"
 
@@ -155,11 +155,7 @@ async def _run_cell_async(
         port=0, idle_timeout_s=duration_s + 60, workers=workers,
         trace_path=trace_path if trace else None, live=live,
     )
-    if workers > 1:
-        broker = BrokerFleet(spec)
-    else:
-        broker = BrokerServer(spec)
-    await broker.start()
+    broker = await start_broker(spec)
     per_shard = sessions // load_procs
     started = time.perf_counter()
     # Above ~28k sessions the loopback 4-tuple space to one broker
@@ -175,10 +171,7 @@ async def _run_cell_async(
     ])
     wall_s = time.perf_counter() - started
     summary = await broker.stop()
-    if workers > 1:
-        parity = summary["parity"]
-    else:
-        parity = broker.core.parity_counters()
+    parity = summary["parity"]
 
     def total(key: str) -> int:
         return sum(report[key] for report in reports)

@@ -48,13 +48,7 @@ from repro.obs.analyze import PARITY_KEYS, TraceAnalyzer
 from repro.obs.live import LiveTailer, follow_merged_traces
 from repro.obs.recorder import read_trace_iter
 from repro.obs.registry import MetricsRegistry
-from repro.serve import (
-    BrokerFleet,
-    BrokerServer,
-    LoadDriver,
-    LoadSpec,
-    ServeSpec,
-)
+from repro.serve import LoadDriver, LoadSpec, ServeSpec, start_broker
 
 
 class LiveTail:
@@ -123,11 +117,7 @@ async def soak(
         port=0, metrics_port=0, trace_path=trace_path,
         idle_timeout_s=duration + 60, workers=workers,
     )
-    if workers > 1:
-        broker = BrokerFleet(spec, registry=registry)
-    else:
-        broker = BrokerServer(spec, registry=registry)
-    await broker.start()
+    broker = await start_broker(spec, registry=registry)
     tail = None
     if live:
         if workers > 1:
@@ -157,11 +147,8 @@ async def soak(
         # Joins once every shard's sim_end has been consumed; raises on
         # a hung shard or a follower error.
         await asyncio.get_running_loop().run_in_executor(None, tail.finish)
-    if workers > 1:
-        parity = summary["parity"]  # sum of the workers' counters
-    else:
-        parity = broker.core.parity_counters()
-    return report, summary, prom, parity, tail
+    # A fleet's parity is the sum of its workers' counters.
+    return report, summary, prom, summary["parity"], tail
 
 
 def main(argv=None) -> int:

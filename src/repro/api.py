@@ -50,18 +50,23 @@ def serve(
     """Run a live broker daemon per *spec*; blocks until done.
 
     Serves the :mod:`repro.pubsub.wire` binary format over TCP until
-    *duration_s* elapses (forever when ``None``; Ctrl-C stops cleanly),
-    then shuts down gracefully and returns the run summary.  With
+    *duration_s* elapses (forever when ``None``) or SIGTERM/SIGINT
+    arrives, then drains gracefully and returns the run summary; its
+    ``parity`` field holds the six counters the offline analyzer must
+    reproduce, and ``workers`` the worker count.  With
     ``spec.trace_path`` set, the broker streams a schema-v2 trace whose
     :func:`repro.obs.analyze_trace` totals match the live registry
-    exactly — same numbers online and offline.
+    exactly — same numbers online and offline.  With
+    ``spec.state_dir`` set, durable subscriptions persist there and a
+    restarted broker restores them before it accepts a connection.
 
     ``spec.workers > 1`` runs the multi-process SO_REUSEPORT fleet
-    (:class:`repro.serve.BrokerFleet`): N worker processes share the
-    port, durable subscriptions shard onto ``spec.state_dir``, each
-    worker emits a trace shard, and the shards merge deterministically
-    into ``spec.trace_path`` on shutdown — the analyzer over the
-    merged trace equals the *sum* of the workers' parity counters.
+    (:class:`repro.serve.BrokerFleet`) through the same lifecycle: N
+    worker processes share the port and the durable store, each worker
+    emits a trace shard, and the shards merge deterministically into
+    ``spec.trace_path`` on shutdown — the analyzer over the merged
+    trace equals the summary's ``parity``, the *sum* of the workers'
+    counters.
     """
     from .serve.broker import run_broker
 

@@ -13,21 +13,24 @@ Layering (transport-free core under an asyncio shell):
 * :class:`SessionContext` — the typed per-connection identity record.
 * :class:`BrokerCore` + :class:`Dispatcher` — socket-free protocol
   engine (fully unit-testable).
-* :class:`BrokerServer` / :func:`run_broker` — the asyncio daemon.
-* :class:`BrokerFleet` / :func:`run_fleet` — the multi-process
-  SO_REUSEPORT worker fleet (``ServeSpec(workers=N)``), with
-  :class:`StateShardStore` as its shared durable subscription store.
+* :class:`BrokerServer` — the asyncio daemon; :class:`BrokerFleet` —
+  the multi-process SO_REUSEPORT worker fleet (``ServeSpec(workers=N)``)
+  of them.  Both persist durable subscriptions to a
+  :class:`StateShardStore` when ``ServeSpec.state_dir`` is set.
+* :func:`start_broker` / :func:`run_broker` — one lifecycle for both:
+  start whichever the spec describes, serve until the duration or
+  SIGTERM/SIGINT, drain, and return the same summary shape.
 * :class:`LoadDriver` / :func:`run_load` — the asyncio load driver.
 """
 
-from .broker import BrokerServer, run_broker
+from .broker import BrokerServer, run_broker, start_broker
 from .dispatcher import BrokerCore, Dispatcher, HandleResult, ProtocolError
 from .eventloop import event_loop_name, install_event_loop_policy
 from .load import LoadDriver, LoadReport, run_load
 from .session import BROKER_NODE_ID, SessionContext
 from .spec import LoadSpec, ServeSpec
 from .state_shard import StateShardStore, SubscriptionRecord
-from .supervisor import BrokerFleet, run_fleet, sum_parity
+from .supervisor import BrokerFleet, sum_parity
 
 __all__ = [
     "BROKER_NODE_ID",
@@ -47,7 +50,7 @@ __all__ = [
     "event_loop_name",
     "install_event_loop_policy",
     "run_broker",
-    "run_fleet",
     "run_load",
+    "start_broker",
     "sum_parity",
 ]

@@ -20,15 +20,23 @@ no protocol logic at all, only plumbing:
 * **Keepalive / idle timeout.**  Any inbound byte counts as activity;
   a session silent for ``spec.idle_timeout_s`` is closed.  Clients with
   nothing to say send a repeated ``Hello``.
+* **Durable state.**  With ``spec.state_dir`` set, every ``Subscribe``
+  is persisted to a :class:`~repro.serve.state_shard.StateShardStore`
+  and ``start()`` rebuilds the subscription index from it before the
+  first connection is accepted, whatever the worker count.
 * **Graceful shutdown.**  ``stop()`` stops accepting, closes every
   session (emitting its ``contact`` event), drains the session tasks,
   emits ``sim_end``, and flushes the trace sink — so the emitted trace
   is always complete and ``bsub analyze`` over it reproduces the live
-  registry exactly.
-* **Live metrics.**  When ``spec.metrics_port`` is set, a minimal HTTP
-  responder routes ``GET /metrics`` to the registry's Prometheus text
-  exposition and ``GET /healthz`` to a JSON liveness document; any
-  other path is a 404 and anything but a well-formed GET a 400.
+  registry exactly.  The summary it returns carries the six parity
+  counters (``parity``) and the worker count (``workers``), the same
+  shape a fleet's summary has.
+* **Live metrics.**  When ``spec.metrics_port`` is set,
+  :func:`answer_http` routes ``GET /metrics`` to the registry's
+  Prometheus text exposition and ``GET /healthz`` to a JSON liveness
+  document; any other path is a 404 and anything but a well-formed GET
+  a 400.  The fleet supervisor serves its aggregated scrape through
+  the same responder.
 * **Live observability.**  ``spec.live`` subscribes a
   :class:`~repro.obs.live.LiveTailer` to the trace recorder's
   in-process event bus: the ``/metrics`` exposition grows ``live_*``
@@ -36,22 +44,27 @@ no protocol logic at all, only plumbing:
   totals against the dispatcher's parity counters
   (``live_parity_ok`` in the summary).
 
-Run one with :func:`run_broker` (blocking, CLI-facing) or manage the
-lifecycle yourself with ``await BrokerServer(spec).start()``.
+Run one with :func:`run_broker` (blocking, CLI-facing; SIGTERM and
+SIGINT drain it) or manage the lifecycle yourself with
+``await start_broker(spec)`` and ``await broker.stop()`` — both pick a
+:class:`BrokerServer` or, for ``spec.workers > 1``, a
+:class:`~repro.serve.supervisor.BrokerFleet`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
+import signal
 import time as _time
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Set
 
 from ..obs.analyze import PARITY_KEYS
 from ..obs.live import LiveTailer
 from ..obs.recorder import NULL_RECORDER, TraceRecorder
 from ..obs.registry import MetricsRegistry
-from ..pubsub.wire import Frame, StreamDecoder, encode_frame
+from ..pubsub.wire import StreamDecoder, encode_frame
 from .dispatcher import BrokerCore, ProtocolError
 from .eventloop import install_event_loop_policy
 from .spec import ServeSpec
@@ -59,9 +72,11 @@ from .state_shard import StateShardStore
 
 __all__ = [
     "BrokerServer",
-    "run_broker",
-    "parse_request_path",
+    "answer_http",
     "http_response",
+    "parse_request_path",
+    "run_broker",
+    "start_broker",
 ]
 
 
@@ -133,8 +148,8 @@ class BrokerServer:
         (Linux ``CLOCK_MONOTONIC`` is system-wide), so all trace
         shards share a single timeline and the merged trace sorts
         correctly by ``t``.  Default: now.
-    worker_index / num_workers / state_store:
-        Fleet identity and durable store, forwarded to
+    worker_index / num_workers:
+        Fleet identity, forwarded to
         :class:`~repro.serve.dispatcher.BrokerCore`; ``num_workers > 1``
         also turns on ``SO_REUSEPORT`` on the listening socket.
     peer_send:
@@ -151,7 +166,6 @@ class BrokerServer:
         clock_origin: Optional[float] = None,
         worker_index: int = 0,
         num_workers: int = 1,
-        state_store: Optional[StateShardStore] = None,
         peer_send: Optional[Callable[[dict], None]] = None,
     ):
         self.spec = spec
@@ -170,6 +184,14 @@ class BrokerServer:
             recorder.subscribe(self.tailer.feed)
         origin = (
             clock_origin if clock_origin is not None else _time.monotonic()
+        )
+        # Store and broker share one registry, so shard-store health
+        # counters (corrupt records seen during recovery) surface on the
+        # same /metrics the broker serves.
+        state_store = (
+            StateShardStore(spec.state_dir, registry=self.registry)
+            if spec.state_dir is not None
+            else None
         )
         self.core = BrokerCore(
             spec,
@@ -194,7 +216,9 @@ class BrokerServer:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> "BrokerServer":
-        """Bind the listening socket(s); returns self for chaining."""
+        """Restore durable subscriptions, then bind the listening
+        socket(s); returns self for chaining."""
+        self.core.restore_all_subscriptions()
         self._server = await asyncio.start_server(
             self._on_client,
             host=self.spec.host,
@@ -205,7 +229,11 @@ class BrokerServer:
         )
         if self.spec.metrics_port is not None:
             self._metrics_server = await asyncio.start_server(
-                self._on_metrics_client,
+                functools.partial(
+                    answer_http,
+                    metrics_text=self._metrics_text,
+                    healthz=self.healthz,
+                ),
                 host=self.spec.host,
                 port=self.spec.metrics_port,
             )
@@ -247,6 +275,7 @@ class BrokerServer:
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         self._summary = self.core.shutdown()
+        self._summary["workers"] = self.spec.workers
         if self.tailer is not None:
             # The tailer saw every emitted event (sim_end included by
             # now); the analyzer's totals must equal the dispatcher's
@@ -266,16 +295,6 @@ class BrokerServer:
             self._trace_file.close()
             self._trace_file = None
         return self._summary
-
-    async def serve_for(self, duration_s: Optional[float]) -> dict:
-        """Serve for *duration_s* seconds (forever when ``None``), stop."""
-        try:
-            if duration_s is None:
-                await asyncio.Event().wait()
-            else:
-                await asyncio.sleep(duration_s)
-        finally:
-            return await self.stop()  # noqa: B012
 
     # -- client sessions ----------------------------------------------------
 
@@ -378,9 +397,6 @@ class BrokerServer:
             for op in handled.peer_casts:
                 self._peer_send(op)
 
-    async def _send(self, session_id: int, frame: Frame) -> None:
-        await self._send_batch(session_id, [encode_frame(frame)])
-
     async def _send_batch(
         self, session_id: int, encoded: List[bytes]
     ) -> None:
@@ -418,47 +434,8 @@ class BrokerServer:
             self.tailer.refresh_registry()
         return self.registry
 
-    async def _on_metrics_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Answer one HTTP GET: /metrics, /healthz, 404 otherwise."""
-        try:
-            # Read the request head; the body of a GET is empty.
-            head = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=5.0
-            )
-        except (
-            asyncio.TimeoutError,
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-            ConnectionError,
-        ):
-            writer.close()
-            return
-        path = parse_request_path(head)
-        if path is None:
-            response = http_response(400, b"bad request\n")
-        elif path == "/metrics":
-            response = http_response(
-                200,
-                self.metrics_snapshot().to_prom().encode("utf-8"),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
-            )
-        elif path == "/healthz":
-            response = http_response(
-                200,
-                json.dumps(self.healthz(), sort_keys=True).encode("utf-8")
-                + b"\n",
-                content_type="application/json",
-            )
-        else:
-            response = http_response(404, b"not found\n")
-        try:
-            writer.write(response)
-            await writer.drain()
-        except ConnectionError:
-            pass
-        writer.close()
+    async def _metrics_text(self) -> str:
+        return self.metrics_snapshot().to_prom()
 
     def healthz(self) -> dict:
         """The liveness document served on ``GET /healthz``."""
@@ -470,44 +447,111 @@ class BrokerServer:
         }
 
 
+async def answer_http(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    metrics_text: Callable[[], Awaitable[str]],
+    healthz: Callable[[], dict],
+) -> None:
+    """Answer one HTTP GET on a metrics endpoint.
+
+    ``GET /metrics`` serves ``await metrics_text()`` as the Prometheus
+    text exposition, ``GET /healthz`` serves ``healthz()`` as JSON; any
+    other path is a 404 and anything but a well-formed GET a 400.  Bind
+    the two callables with :func:`functools.partial` to get an
+    ``asyncio.start_server`` client callback.
+    """
+    try:
+        # Read the request head; the body of a GET is empty.
+        head = await asyncio.wait_for(
+            reader.readuntil(b"\r\n\r\n"), timeout=5.0
+        )
+    except (
+        asyncio.TimeoutError,
+        asyncio.IncompleteReadError,
+        asyncio.LimitOverrunError,
+        ConnectionError,
+    ):
+        writer.close()
+        return
+    path = parse_request_path(head)
+    if path is None:
+        response = http_response(400, b"bad request\n")
+    elif path == "/metrics":
+        response = http_response(
+            200,
+            (await metrics_text()).encode("utf-8"),
+            content_type="text/plain; version=0.0.4; charset=utf-8",
+        )
+    elif path == "/healthz":
+        response = http_response(
+            200,
+            json.dumps(healthz(), sort_keys=True).encode("utf-8") + b"\n",
+            content_type="application/json",
+        )
+    else:
+        response = http_response(404, b"not found\n")
+    try:
+        writer.write(response)
+        await writer.drain()
+    except ConnectionError:
+        pass
+    writer.close()
+
+
+async def start_broker(
+    spec: ServeSpec, registry: Optional[MetricsRegistry] = None
+):
+    """Start the broker *spec* describes and return it.
+
+    A started :class:`BrokerServer`, or for ``spec.workers > 1`` a
+    started :class:`~repro.serve.supervisor.BrokerFleet`.  Both expose
+    ``port``, ``metrics_port`` and ``stop()``, and ``stop()`` returns
+    the same summary shape (``parity``, ``workers``, ...).  A fleet
+    merges its workers' final registries into *registry* at stop; a
+    single broker counts into it live.
+    """
+    if spec.workers > 1:
+        from .supervisor import BrokerFleet
+
+        broker = BrokerFleet(spec, registry=registry)
+    else:
+        broker = BrokerServer(spec, registry=registry)
+    return await broker.start()
+
+
 def run_broker(
     spec: ServeSpec,
     duration_s: Optional[float] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> dict:
-    """Blocking entry point: serve until *duration_s* (or Ctrl-C).
+    """Blocking entry point: serve until *duration_s* or a signal.
 
-    Returns the shutdown summary dict.  This is what ``bsub serve``
-    calls; library code embedding a broker should drive
-    :class:`BrokerServer` inside its own event loop instead.
-
-    ``spec.workers > 1`` hands off to the multi-process fleet
-    supervisor (:func:`repro.serve.supervisor.run_fleet`) — same
-    signature, same summary shape, plus per-worker detail.
+    Starts the broker through :func:`start_broker` (one process, or a
+    fleet for ``spec.workers > 1``) and returns its shutdown summary.
+    SIGTERM and SIGINT (Ctrl-C) drain it gracefully, also during
+    start-up; where signal handlers cannot be installed (a thread other
+    than the main one) only *duration_s* ends the run.  This is what
+    ``bsub serve`` calls; library code embedding a broker should use
+    :func:`start_broker` inside its own event loop instead.
     """
-    if spec.workers > 1:
-        from .supervisor import run_fleet
-
-        return run_fleet(spec, duration_s, registry)
     install_event_loop_policy()
 
     async def _main() -> dict:
-        server = BrokerServer(spec, registry=registry)
-        await server.start()
+        # Installed before start-up so an early signal still drains;
+        # closing the loop removes them again.
+        loop = asyncio.get_running_loop()
+        stop_requested = asyncio.Event()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(signum, stop_requested.set)
+            except (NotImplementedError, RuntimeError):
+                pass  # not the main thread: only the duration ends the run
+        broker = await start_broker(spec, registry)
         try:
-            return await server.serve_for(duration_s)
-        except (KeyboardInterrupt, asyncio.CancelledError):
-            return await server.stop()
+            await asyncio.wait_for(stop_requested.wait(), duration_s)
+        except asyncio.TimeoutError:
+            pass
+        return await broker.stop()
 
-    try:
-        return asyncio.run(_main())
-    except KeyboardInterrupt:
-        return {"interrupted": True}
-
-
-def parse_hostport(value: str) -> Tuple[str, int]:
-    """``"host:port"`` -> tuple (CLI convenience)."""
-    host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"expected host:port, got {value!r}")
-    return host, int(port)
+    return asyncio.run(_main())

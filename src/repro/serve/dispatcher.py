@@ -17,10 +17,10 @@ session-dispatch table the wire format implies — and
 * ``Subscribe`` — replace the node's **durable** exact subscription
   set.  Durable means it survives disconnects: a reconnecting node is
   matched again the moment it says ``Hello``, without resubscribing.
-  Subscription state is backed by the existing
-  :class:`~repro.pubsub.node.BsubNodeState` machinery (genuine filter
-  + Bloom projection), and the keys are A-merged into the broker's
-  relay filter exactly like a Sec. V-C interest announcement.
+  Under ``bloom`` matching each node also keeps the plain
+  :class:`~repro.core.bloom.BloomFilter` of its keys (the genuine
+  filter's wire projection), and the keys are A-merged into the
+  broker's relay filter exactly like a Sec. V-C interest announcement.
 * ``InterestAnnouncement`` / ``RelayFilter`` — the contact-layer
   filter frames, absorbed into the broker relay by A-/M-merge for
   paper-faithfulness (they do not create durable subscriptions —
@@ -49,6 +49,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..core.bloom import BloomFilter
 from ..core.hashing import HashFamily
 from ..core.tcbf import TemporalCountingBloomFilter
 from ..obs.analyze import PARITY_KEYS
@@ -230,7 +231,7 @@ class BrokerCore:
         self.dispatcher = Dispatcher(self)
         # -- durable state (survives disconnects) --
         self.subscriptions: Dict[int, FrozenSet[str]] = {}
-        self.nodes: Dict[int, BsubNodeState] = {}
+        self.node_blooms: Dict[int, BloomFilter] = {}
         self._key_index: Dict[str, Set[int]] = {}
         # -- connection state --
         self.sessions: Dict[int, _SessionState] = {}
@@ -416,7 +417,7 @@ class BrokerCore:
         node_id = session.ctx.node_id
         now = self.clock()
         keys = frozenset(frame.keys)
-        self._install_subscription(node_id, keys, now)
+        self._install_subscription(node_id, keys)
         self._absorb_keys(node_id, keys, now)
         self._count("serve_subscribes_total")
         if self.state_store is not None:
@@ -433,7 +434,7 @@ class BrokerCore:
         )
 
     def _install_subscription(
-        self, node_id: int, keys: FrozenSet[str], now: float
+        self, node_id: int, keys: FrozenSet[str]
     ) -> None:
         """Replace a node's durable subscription set in the local
         index (shared by local ``Subscribe``, peer replication, and
@@ -449,23 +450,14 @@ class BrokerCore:
         for key in keys - old:
             self._key_index.setdefault(key, set()).add(node_id)
         self.subscriptions[node_id] = keys
-        # Durable per-node state via the existing node machinery: the
-        # genuine filter and its Bloom projection back the "bloom"
-        # matching mode, exactly as a simulated consumer's would.
-        # Only that mode ever reads it (see :meth:`_match`), and the
-        # rebuild is the single most expensive step of a subscribe —
-        # under ``exact`` matching (the default) skipping it roughly
-        # triples fleet connect throughput, since the mesh replays
-        # every subscription onto every worker.
+        # The "bloom" matching mode queries each node's genuine filter
+        # as a plain Bloom filter (see :meth:`_match`), the same bits a
+        # simulated consumer's ``genuine_bloom`` sets.  Only that mode
+        # reads it, so ``exact`` matching (the default) skips the build:
+        # the mesh replays every subscription onto every worker.
         if self.spec.matching == "bloom":
-            self.nodes[node_id] = BsubNodeState(
-                node_id=node_id,
-                interests=keys,
-                family=self.family,
-                initial_value=self.spec.initial_value,
-                decay_factor=self._df_per_s,
-                copy_limit=0,
-                start_time=now,
+            self.node_blooms[node_id] = BloomFilter.of(
+                keys, family=self.family
             )
 
     def _restore_subscription(self, node_id: int) -> None:
@@ -478,9 +470,7 @@ class BrokerCore:
         record = self.state_store.load(node_id)
         if record is None:
             return
-        self._install_subscription(
-            node_id, frozenset(record.keys), self.clock()
-        )
+        self._install_subscription(node_id, frozenset(record.keys))
         self._count("serve_state_restores_total")
 
     def restore_all_subscriptions(self) -> int:
@@ -489,10 +479,9 @@ class BrokerCore:
         if self.state_store is None:
             return 0
         restored = 0
-        now = self.clock()
         for record in self.state_store.load_all():
             self._install_subscription(
-                record.node_id, frozenset(record.keys), now
+                record.node_id, frozenset(record.keys)
             )
             restored += 1
         if restored:
@@ -725,9 +714,7 @@ class BrokerCore:
         kind = op.get("op")
         if kind == "sub":
             self._install_subscription(
-                int(op["node"]),
-                frozenset(str(k) for k in op["keys"]),
-                self.clock(),
+                int(op["node"]), frozenset(str(k) for k in op["keys"])
             )
             self._count("serve_peer_subs_total")
             self.registry.gauge("serve_nodes_known").set(
@@ -800,10 +787,10 @@ class BrokerCore:
         for node, _sid in self.node_sessions.items():
             if node == publisher:
                 continue
-            state = self.nodes.get(node)
-            if state is None:
+            bloom = self.node_blooms.get(node)
+            if bloom is None:
                 continue
-            if any(key in state.genuine_bloom for key in keys):
+            if any(key in bloom for key in keys):
                 matched.append(node)
         return sorted(matched)
 
@@ -814,7 +801,8 @@ class BrokerCore:
 
         The transport layer disconnects the remaining sessions *before*
         calling this, so the emitted trace ends cleanly.  Returns a
-        small summary dict (CLI-facing).
+        small summary dict (CLI-facing), with the final
+        :meth:`parity_counters` under ``parity``.
         """
         self._shut_down = True
         now = self.clock()
@@ -841,6 +829,7 @@ class BrokerCore:
             "messages": self._published,
             "deliveries": counters["deliveries_total"],
             "delivery_ratio": ratio,
+            "parity": counters,
         }
 
     # -- parity -------------------------------------------------------------

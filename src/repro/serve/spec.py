@@ -148,11 +148,14 @@ class ServeSpec:
         relayed worker-to-worker so fan-out spans the whole fleet).
     state_dir:
         Directory for the durable subscription store, sharded by
-        node-id hash (see :mod:`repro.serve.state_shard`).  ``None``
-        keeps durable state in-memory only (the single-process
-        default); a fleet without an explicit ``state_dir`` gets a
-        supervisor-managed temporary directory so a restarted worker
-        can rebuild its subscription index.
+        node-id hash (see :mod:`repro.serve.state_shard`), used
+        whatever the worker count: every ``Subscribe`` is persisted
+        there, and a broker (or fleet worker) started on it restores
+        every record before accepting a connection.  ``None`` keeps a
+        single broker's durable state in memory only; a fleet without
+        an explicit ``state_dir`` gets a supervisor-managed temporary
+        directory so a restarted worker can rebuild its subscription
+        index.
     live:
         Attach a :class:`~repro.obs.live.LiveTailer` to the broker's
         trace recorder (requires ``trace_path``): the ``/metrics``

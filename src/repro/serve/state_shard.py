@@ -1,24 +1,29 @@
 """Durable subscription store, sharded by node-id hash.
 
-The multi-worker broker fleet (:mod:`repro.serve.supervisor`) keeps
-its session/matching state per-process, but the *durable* part — each
-node's exact subscription key set — must survive a worker crash so the
-restarted process can rebuild its index and a reconnecting session
-lands on any worker with its subscriptions intact.  This module is
-that durability layer: one small JSON record per node, grouped into
-``shard_NN/`` directories by node-id hash so a directory never grows
-beyond ``nodes / num_shards`` entries.
+A broker keeps its session/matching state in memory, but the *durable*
+part — each node's exact subscription key set — must survive a
+restart, so the restarted broker can rebuild its index and a
+reconnecting session keeps its subscriptions without resubscribing.
+This module is that durability layer: one small JSON record per node,
+grouped into ``shard_NN/`` directories by node-id hash so a directory
+never grows beyond ``nodes / num_shards`` entries.
+
+Every :class:`~repro.serve.broker.BrokerServer` whose spec sets
+``state_dir`` opens a store there, whatever the worker count: a single
+broker restarted on the same directory, and each worker of a fleet
+(:mod:`repro.serve.supervisor`, which shares one directory between
+all workers and makes a temporary one when none is configured),
+restore every record before accepting a connection.  Without a
+``state_dir`` a single broker keeps durable state in memory only.
 
 Writes are atomic (``tmp`` + ``os.replace``) and last-writer-wins,
 which matches the broker's own latest-wins session semantics: two
 workers racing on the same node id can only happen across a reconnect,
-and the newer subscription is the one that must stick.  The single
-process broker (``workers=1``) never touches this module unless a
-``state_dir`` is configured explicitly.
+and the newer subscription is the one that must stick.
 
 The record format deliberately stores the raw key set rather than a
-serialized filter: ``BsubNodeState`` is cheap to rebuild from keys
-(the dispatcher already does exactly that on every ``Subscribe``), and
+serialized filter: the dispatcher's index and Bloom filters are cheap
+to rebuild from keys (it does exactly that on every ``Subscribe``), and
 keys survive geometry changes where a serialized Bloom image would
 not.
 """

@@ -8,8 +8,11 @@
   its own event loop + :class:`~repro.serve.dispatcher.BrokerCore`.
 * Durable subscription state is shared through an on-disk
   :class:`~repro.serve.state_shard.StateShardStore` (hash-sharded,
-  atomic per-node records), so a restarted worker rebuilds its index
-  before accepting traffic and a reconnecting session keeps its
+  atomic per-node records) under ``spec.state_dir`` — a temporary
+  directory the supervisor owns when none is configured.  Each
+  worker's :class:`~repro.serve.broker.BrokerServer` opens the store
+  and rebuilds its index before accepting traffic, exactly as a
+  single broker does, so a reconnecting session keeps its
   subscriptions whichever worker it lands on.
 * The workers gossip over a loopback mesh (newline-delimited JSON
   ops, one dialed link per ordered peer pair): durable subscriptions
@@ -23,13 +26,17 @@
   :func:`repro.obs.recorder.merge_traces` into a single deterministic
   trace at ``spec.trace_path``.
 * Supervision: a worker that dies is restarted (sessions reconnect
-  and land on a survivor or the replacement, latest-wins); SIGTERM or
-  SIGINT to the supervisor drains the whole fleet gracefully.
+  and land on a survivor or the replacement, latest-wins).  The
+  lifecycle around it is the single broker's:
+  :func:`~repro.serve.broker.start_broker` starts a fleet for
+  ``spec.workers > 1`` and :func:`~repro.serve.broker.run_broker`
+  drains it on SIGTERM or SIGINT.
 * Metrics: with ``spec.metrics_port`` set, each worker serves its own
   Prometheus endpoint on an ephemeral port (reported in the summary)
   and the supervisor serves the fleet-wide *aggregated* registry on
-  ``spec.metrics_port`` (``GET /metrics``, summing worker snapshots on
-  every scrape) plus ``GET /healthz`` reporting per-worker liveness.
+  ``spec.metrics_port`` through the broker's own HTTP responder
+  (``GET /metrics`` sums worker snapshots on every scrape,
+  ``GET /healthz`` reports per-worker liveness).
 
 The control plane is one duplex pipe per worker carrying small
 ``(kind, payload)`` tuples: ``ready`` / ``peers`` / ``metrics`` /
@@ -39,6 +46,7 @@ The control plane is one duplex pipe per worker carrying small
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import multiprocessing as mp
 import os
@@ -52,12 +60,11 @@ from typing import Dict, List, Optional
 from ..obs.analyze import PARITY_KEYS
 from ..obs.recorder import merge_traces
 from ..obs.registry import MetricsRegistry
-from .broker import BrokerServer, http_response, parse_request_path
+from .broker import BrokerServer, answer_http
 from .eventloop import event_loop_name, install_event_loop_policy
 from .spec import ServeSpec
-from .state_shard import StateShardStore
 
-__all__ = ["BrokerFleet", "run_fleet", "sum_parity"]
+__all__ = ["BrokerFleet", "sum_parity"]
 
 #: Seconds a worker gets to report its drain summary before the
 #: supervisor gives up and terminates it.
@@ -215,25 +222,22 @@ async def _worker_async(
     worker_index: int, spec: ServeSpec, conn, origin: float
 ) -> None:
     loop = asyncio.get_running_loop()
-    registry = MetricsRegistry()
-    # Store and broker share one registry so shard-store health
-    # counters (corrupt records seen during recovery) surface on the
-    # same /metrics the broker serves.
-    store = StateShardStore(spec.state_dir, registry=registry)
+    # The mesh is built first; ops only arrive once the supervisor has
+    # wired the peers, after this worker reported ready.
+    mesh = _PeerMesh(
+        worker_index, spec.host, lambda op: server.apply_peer_op(op)
+    )
     server = BrokerServer(
         spec,
-        registry=registry,
+        registry=MetricsRegistry(),
         clock_origin=origin,
         worker_index=worker_index,
         num_workers=spec.workers,
-        state_store=store,
+        peer_send=mesh.broadcast,
     )
-    mesh = _PeerMesh(worker_index, spec.host, server.apply_peer_op)
-    server._peer_send = mesh.broadcast
-    # A restarted worker rebuilds the fleet-wide subscription index
-    # from the shard store before it accepts a single connection.
-    server.core.restore_all_subscriptions()
     mesh_port = await mesh.listen()
+    # start() rebuilds the fleet-wide subscription index from the
+    # shard store (spec.state_dir) before it accepts a connection.
     await server.start()
 
     inbox: asyncio.Queue = asyncio.Queue()
@@ -278,7 +282,6 @@ async def _worker_async(
             {
                 "worker": worker_index,
                 "summary": summary,
-                "parity": server.core.parity_counters(),
                 "metrics": server.metrics_snapshot().to_dict(),
             },
         ))
@@ -312,9 +315,10 @@ class BrokerFleet:
         ...  # clients connect to fleet.port
         summary = await fleet.stop()
 
-    or use the blocking :func:`run_fleet` (what ``bsub serve`` calls
-    for ``workers > 1``).  ``stop()`` drains every worker, merges the
-    trace shards, and returns the aggregated summary.
+    :func:`~repro.serve.broker.start_broker` and the blocking
+    :func:`~repro.serve.broker.run_broker` (what ``bsub serve`` calls)
+    build one for ``workers > 1``.  ``stop()`` drains every worker,
+    merges the trace shards, and returns the aggregated summary.
     """
 
     def __init__(
@@ -360,7 +364,11 @@ class BrokerFleet:
             self._watch_sentinel(loop, worker)
         if self.spec.metrics_port is not None:
             self._metrics_server = await asyncio.start_server(
-                self._on_metrics_client,
+                functools.partial(
+                    answer_http,
+                    metrics_text=self._metrics_text,
+                    healthz=self.healthz,
+                ),
                 host=self.spec.host,
                 port=self.spec.metrics_port,
             )
@@ -386,16 +394,6 @@ class BrokerFleet:
     @property
     def summary(self) -> Optional[dict]:
         return self._summary
-
-    async def serve_for(self, duration_s: Optional[float]) -> dict:
-        """Serve for *duration_s* seconds (forever when ``None``), stop."""
-        try:
-            if duration_s is None:
-                await asyncio.Event().wait()
-            else:
-                await asyncio.sleep(duration_s)
-        finally:
-            return await self.stop()  # noqa: B012
 
     async def stop(self) -> dict:
         """Drain every worker, merge trace shards, aggregate. Idempotent."""
@@ -561,47 +559,8 @@ class BrokerFleet:
             merged.merge_snapshot(snapshot)
         return merged
 
-    async def _on_metrics_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Answer one HTTP GET: /metrics (aggregated), /healthz, 404."""
-        try:
-            head = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=5.0
-            )
-        except (
-            asyncio.TimeoutError,
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-            ConnectionError,
-        ):
-            writer.close()
-            return
-        path = parse_request_path(head)
-        if path is None:
-            response = http_response(400, b"bad request\n")
-        elif path == "/metrics":
-            merged = await self.scrape_metrics()
-            response = http_response(
-                200,
-                merged.to_prom().encode("utf-8"),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
-            )
-        elif path == "/healthz":
-            response = http_response(
-                200,
-                json.dumps(self.healthz(), sort_keys=True).encode("utf-8")
-                + b"\n",
-                content_type="application/json",
-            )
-        else:
-            response = http_response(404, b"not found\n")
-        try:
-            writer.write(response)
-            await writer.drain()
-        except ConnectionError:
-            pass
-        writer.close()
+    async def _metrics_text(self) -> str:
+        return (await self.scrape_metrics()).to_prom()
 
     def healthz(self) -> dict:
         """Fleet liveness: per-worker alive/pid/restarts, overall status."""
@@ -628,7 +587,7 @@ class BrokerFleet:
 
     def _aggregate(self) -> dict:
         results = [w.result for w in self._workers if w.result is not None]
-        parity = sum_parity([r["parity"] for r in results])
+        parity = sum_parity([r["summary"]["parity"] for r in results])
         if self.registry is not None:
             for result in results:
                 self.registry.merge_snapshot(result["metrics"])
@@ -673,63 +632,8 @@ class BrokerFleet:
                         w.ready.get("metrics_port") if w.ready else None
                     ),
                     "summary": w.result["summary"] if w.result else None,
-                    "parity": w.result["parity"] if w.result else None,
                 }
                 for w in self._workers
             ],
         }
 
-
-def run_fleet(
-    spec: ServeSpec,
-    duration_s: Optional[float] = None,
-    registry: Optional[MetricsRegistry] = None,
-) -> dict:
-    """Blocking fleet entry point (the ``workers > 1`` arm of
-    :func:`repro.serve.broker.run_broker`).
-
-    SIGTERM and SIGINT both drain the whole fleet gracefully; the
-    return value is the aggregated summary (per-worker summaries under
-    ``per_worker``, fleet parity counters under ``parity``).
-    """
-    install_event_loop_policy()
-
-    async def _main() -> dict:
-        fleet = BrokerFleet(spec, registry=registry)
-        await fleet.start()
-        stop_requested = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop_requested.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-
-        async def _stopper() -> None:
-            await stop_requested.wait()
-
-        waiter = asyncio.ensure_future(_stopper())
-        sleeper: Optional[asyncio.Task] = None
-        try:
-            if duration_s is None:
-                await waiter
-            else:
-                sleeper = asyncio.ensure_future(asyncio.sleep(duration_s))
-                await asyncio.wait(
-                    [waiter, sleeper], return_when=asyncio.FIRST_COMPLETED
-                )
-        finally:
-            waiter.cancel()
-            if sleeper is not None:
-                sleeper.cancel()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.remove_signal_handler(signum)
-                except (NotImplementedError, RuntimeError, ValueError):
-                    pass
-            return await fleet.stop()  # noqa: B012
-
-    try:
-        return asyncio.run(_main())
-    except KeyboardInterrupt:
-        return {"interrupted": True}

@@ -250,6 +250,36 @@ class TestBrokerBehaviour:
 
         asyncio.run(main())
 
+    def test_durable_subscription_survives_restart(self, tmp_path):
+        state_dir = str(tmp_path / "state")
+
+        async def main():
+            first = await make_server(state_dir=state_dir).start()
+            try:
+                sub = await Client(first).connect(node_id=1)
+                await sub.send(Subscribe(("sports",)))
+                await wait_until(lambda: 1 in first.core.subscriptions)
+                await sub.close()
+            finally:
+                await first.stop()
+            # A new broker on the same state_dir restores the record
+            # before it accepts: a bare Hello, no resubscribe.
+            second = await make_server(state_dir=state_dir).start()
+            try:
+                assert second.core.subscriptions == {1: frozenset({"sports"})}
+                sub2 = await Client(second).connect(node_id=1)
+                pub = await Client(second).connect(node_id=2)
+                await pub.send(bundle(["sports"], source=2, payload=b"again"))
+                delivered = await sub2.recv()
+                assert isinstance(delivered, MessageBundle)
+                assert delivered.payloads == (b"again",)
+                await sub2.close()
+                await pub.close()
+            finally:
+                await second.stop()
+
+        asyncio.run(main())
+
     def test_idle_timeout_closes_silent_session(self):
         async def main():
             server = await make_server(idle_timeout_s=0.2).start()

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.hashing import HashFamily
 from repro.obs.analyze import PARITY_KEYS, analyze_trace
-from repro.obs.recorder import TraceRecorder
+from repro.obs.recorder import TraceRecorder, read_trace_iter
 from repro.pubsub.wire import (
     Hello,
     MessageBundle,
@@ -377,14 +377,15 @@ class TestFleetSupervision:
         summary = asyncio.run(main())
         assert summary["restarts"] == 1
 
-    def test_sigterm_drains_fleet_and_merges_trace(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sigterm_drains_fleet_and_merges_trace(self, tmp_path, workers):
         trace = tmp_path / "trace.jsonl"
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
                 "--spec", "port=0,idle_timeout_s=60",
-                "--workers", "2",
+                "--workers", str(workers),
                 "--trace-out", str(trace),
                 "--json",
             ],
@@ -394,11 +395,17 @@ class TestFleetSupervision:
             cwd=str(REPO_ROOT),
         )
         try:
-            shards = [Path(f"{trace}.w0"), Path(f"{trace}.w1")]
+            # Fleet workers write trace shards; one broker writes the
+            # trace itself.  Either file appears once the broker exists.
+            started = (
+                [Path(f"{trace}.w{i}") for i in range(workers)]
+                if workers > 1
+                else [trace]
+            )
             deadline = time.monotonic() + 30.0
-            while not all(p.exists() for p in shards):
-                assert proc.poll() is None, "fleet exited before startup"
-                assert time.monotonic() < deadline, "fleet never started"
+            while not all(p.exists() for p in started):
+                assert proc.poll() is None, "broker exited before startup"
+                assert time.monotonic() < deadline, "broker never started"
                 time.sleep(0.2)
             time.sleep(0.5)
             proc.send_signal(signal.SIGTERM)
@@ -409,10 +416,16 @@ class TestFleetSupervision:
                 proc.communicate()
         assert proc.returncode == 0
         summary = json.loads(stdout.decode().strip().splitlines()[-1])
-        assert summary["workers"] == 2
+        assert summary["workers"] == workers
         assert summary["parity"].keys() == set(PARITY_KEYS)
-        assert trace.exists()
+        events = list(read_trace_iter(str(trace)))
+        assert events and events[-1].type == "sim_end"
         analysis = analyze_trace(str(trace))
-        assert analysis.messages["created"] == summary["parity"][
-            "messages_created"
-        ]
+        assert {
+            "messages_created": analysis.messages["created"],
+            "intended_pairs": analysis.messages["intended_pairs"],
+            "forwards_direct": analysis.forwards["direct"],
+            "deliveries_total": analysis.deliveries["total"],
+            "deliveries_intended": analysis.deliveries["intended"],
+            "deliveries_false": analysis.deliveries["false"],
+        } == summary["parity"]

@@ -1,9 +1,8 @@
-"""Out-of-core scaling benchmark: trace backends × execution modes.
+"""Out-of-core scaling benchmark: one serial replay per trace backend.
 
 Measures passive replay of a city-style synthetic dataset under every
-trace backend ({object, columnar, mmap}) crossed with serial vs sharded
-execution, and persists wall-clock and peak-RSS curves to
-``benchmarks/results/BENCH_scale.json``.
+trace backend ({object, columnar, mmap}), and persists wall-clock and
+peak-RSS curves to ``benchmarks/results/BENCH_scale.json``.
 
 Every cell runs in a **fresh subprocess** so its peak RSS is its own:
 the child samples ``RssAnon`` from ``/proc/self/status`` on a
@@ -12,19 +11,15 @@ backend materialises the trace; an mmap replay's file-backed pages are
 reclaimable cache and deliberately excluded) and reports ``VmHWM``
 (total peak resident, file-backed included) alongside for transparency.
 Each child also fingerprints its :class:`SimulationReport`, and the
-parent asserts every (backend, execution) cell of a dataset produced
-the *identical* report — sharding and storage are observationally
-inert.
+parent asserts every backend of a dataset produced the *identical*
+report — storage is observationally inert.
 
-Honesty notes baked into the output document:
-
-* ``env.cpu_count`` is recorded; on a single-core machine the sharded
-  cells exercise the shard/merge machinery but cannot show parallel
-  speedup, so the wall-clock headline compares against the ``object``
-  baseline there instead of ``columnar``.
-* Backends are skipped (and logged) above their practical size:
-  ``object`` materialises a Python object per contact and is capped at
-  ``OBJECT_MAX_CONTACTS``.
+Both gates read the ``mmap`` replay: its replay speedup over the
+``object`` baseline (at the largest cell where object ran), and its
+peak anonymous memory against ``columnar``'s.  ``env.cpu_count`` is
+recorded.  Backends are skipped (and logged) above their practical
+size: ``object`` materialises a Python object per contact and is
+capped at ``OBJECT_MAX_CONTACTS``.
 
 Run as a script::
 
@@ -53,7 +48,7 @@ from typing import Dict, List, Optional
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_scale.json"
 
-#: Replay-speedup floor at the largest cell (fast path vs baseline).
+#: Replay-speedup floor: mmap replay over the object baseline.
 REQUIRED_SPEEDUP = 3.0
 #: Peak-RssAnon floor: columnar replay over mmap replay at the largest
 #: cell both complete (mmap keeps the trace out of anonymous memory).
@@ -71,10 +66,8 @@ FULL_CELLS = [
 ]
 CITY_CELL = ("100M", 100_000_000, 1_000_000, 20_000)
 
-SHARDS = 4
 
-
-# -- child process: one (backend, shards) replay --------------------------
+# -- child process: one backend's replay ----------------------------------
 
 
 def _proc_status_kb(field: str) -> Optional[int]:
@@ -140,10 +133,7 @@ def _child_main(spec_json: str) -> int:
         trace = open_trace_dataset(spec["dataset"], backend=spec["backend"])
         t1 = time.perf_counter()
         report = Simulation(
-            trace,
-            PassiveProtocol(),
-            rate_bps=BLUETOOTH_EFFECTIVE_BPS,
-            shards=spec["shards"],
+            trace, PassiveProtocol(), rate_bps=BLUETOOTH_EFFECTIVE_BPS
         ).run()
         t2 = time.perf_counter()
     result = {
@@ -160,8 +150,8 @@ def _child_main(spec_json: str) -> int:
 # -- parent: grid orchestration -------------------------------------------
 
 
-def _run_child(dataset: str, backend: str, shards: Optional[int]) -> Dict:
-    spec = {"dataset": dataset, "backend": backend, "shards": shards}
+def _run_child(dataset: str, backend: str) -> Dict:
+    spec = {"dataset": dataset, "backend": backend}
     proc = subprocess.run(
         [sys.executable, __file__, "--child", json.dumps(spec)],
         capture_output=True,
@@ -169,9 +159,7 @@ def _run_child(dataset: str, backend: str, shards: Optional[int]) -> Dict:
         env=os.environ.copy(),
     )
     if proc.returncode != 0:
-        raise RuntimeError(
-            f"child {backend}/shards={shards} failed:\n{proc.stderr}"
-        )
+        raise RuntimeError(f"child {backend} failed:\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -227,16 +215,15 @@ def run_cell(
             )
             log(f"  [{label}] backend=object SKIPPED (too large)")
             continue
-        for mode, shards in (("serial", None), ("sharded", SHARDS)):
-            key = f"{backend}-{mode}"
-            log(f"  [{label}] {key} ...")
-            measured = _run_child(dataset["path"], backend, shards)
-            fingerprints[key] = measured.pop("fingerprint")
-            cell["runs"][key] = measured
-            log(
-                f"  [{label}] {key}: replay={measured['replay_s']:.2f}s "
-                f"peak-anon={measured['peak_rss_anon_kb'] / 1024:.0f}MB"
-            )
+        key = f"{backend}-serial"
+        log(f"  [{label}] {key} ...")
+        measured = _run_child(dataset["path"], backend)
+        fingerprints[key] = measured.pop("fingerprint")
+        cell["runs"][key] = measured
+        log(
+            f"  [{label}] {key}: replay={measured['replay_s']:.2f}s "
+            f"peak-anon={measured['peak_rss_anon_kb'] / 1024:.0f}MB"
+        )
     reference = fingerprints["mmap-serial"]
     for key, fingerprint in fingerprints.items():
         if fingerprint != reference:
@@ -251,14 +238,14 @@ def run_cell(
     )
     cell["baseline"] = baseline_key
     cell["speedup_replay_vs_baseline"] = (
-        runs[baseline_key]["replay_s"] / runs["mmap-sharded"]["replay_s"]
+        runs[baseline_key]["replay_s"] / runs["mmap-serial"]["replay_s"]
     )
-    cell["speedup_sharded_mmap_vs_serial_columnar"] = (
-        runs["columnar-serial"]["replay_s"] / runs["mmap-sharded"]["replay_s"]
+    cell["speedup_mmap_vs_columnar"] = (
+        runs["columnar-serial"]["replay_s"] / runs["mmap-serial"]["replay_s"]
     )
     cell["rss_anon_ratio_columnar_over_mmap"] = (
         runs["columnar-serial"]["peak_rss_anon_kb"]
-        / max(1, runs["mmap-sharded"]["peak_rss_anon_kb"])
+        / max(1, runs["mmap-serial"]["peak_rss_anon_kb"])
     )
     return cell
 
@@ -290,18 +277,16 @@ def run_benchmark(
             "numpy": numpy.__version__,
         },
         "notes": {
-            "isolation": "every (backend, execution) cell is a fresh "
-                         "subprocess; RSS numbers are per-cell",
+            "isolation": "every backend's replay is a fresh "
+                         "subprocess; RSS numbers are per-run",
             "memory": "peak_rss_anon_kb is max RssAnon sampled from "
                       "/proc/self/status (anonymous memory only — mmap "
                       "file-backed pages are reclaimable and excluded); "
                       "vm_hwm_kb is the total peak resident for "
                       "transparency",
-            "speedup": "speedup_replay_vs_baseline divides the serial "
-                       "baseline backend's replay by the sharded-mmap "
-                       "replay; on single-core machines sharded cells "
-                       "cannot show parallel speedup and the baseline "
-                       "is the object backend where it ran",
+            "speedup": "speedup_replay_vs_baseline divides the "
+                       "baseline backend's replay (object where it ran, "
+                       "else columnar) by the mmap replay",
             "replay": "PassiveProtocol (engine accounting only) at "
                       "Bluetooth effective bandwidth",
         },
@@ -333,7 +318,7 @@ def _headline(cells: List[Dict]) -> Dict:
     memory = next(
         (
             c for c in reversed(cells)
-            if "columnar-serial" in c["runs"] and "mmap-sharded" in c["runs"]
+            if "columnar-serial" in c["runs"] and "mmap-serial" in c["runs"]
         ),
         cells[-1],
     )
@@ -345,12 +330,12 @@ def _headline(cells: List[Dict]) -> Dict:
         "memory_cell": memory["label"],
         "rss_anon_ratio_columnar_over_mmap":
             memory["rss_anon_ratio_columnar_over_mmap"],
-        "mmap_sharded_peak_rss_anon_kb":
-            memory["runs"]["mmap-sharded"]["peak_rss_anon_kb"],
+        "mmap_peak_rss_anon_kb":
+            memory["runs"]["mmap-serial"]["peak_rss_anon_kb"],
         "largest_cell": largest["label"],
         "largest_num_contacts": largest["num_contacts"],
-        "largest_speedup_sharded_mmap_vs_serial_columnar":
-            largest["speedup_sharded_mmap_vs_serial_columnar"],
+        "largest_speedup_mmap_vs_columnar":
+            largest["speedup_mmap_vs_columnar"],
     }
 
 
@@ -361,7 +346,7 @@ def check_thresholds(document: Dict) -> List[str]:
     if headline["speedup_replay_vs_baseline"] < document["required_speedup_replay"]:
         failures.append(
             f"replay speedup {headline['speedup_replay_vs_baseline']:.2f}x "
-            f"(sharded-mmap vs {headline['speedup_baseline']} at "
+            f"(mmap vs {headline['speedup_baseline']} at "
             f"{headline['speedup_cell']}) "
             f"< required {document['required_speedup_replay']}x"
         )
@@ -382,7 +367,7 @@ def test_bench_scale_smoke():
     document = run_benchmark(smoke=True, out_path=None, log=lambda *_: None)
     cell = document["cells"][0]
     assert cell["num_contacts"] > 0
-    assert "mmap-sharded" in cell["runs"]
+    assert "mmap-serial" in cell["runs"]
     # Identical-report assertion already ran inside run_cell; at smoke
     # scale only direction is asserted, thresholds are for full runs.
     assert cell["rss_anon_ratio_columnar_over_mmap"] > 1.0
@@ -421,8 +406,8 @@ def main(argv=None) -> int:
         f"{headline['speedup_cell']}; "
         f"{headline['rss_anon_ratio_columnar_over_mmap']:.2f}x lower "
         f"anonymous peak RSS (mmap vs columnar) at "
-        f"{headline['memory_cell']}, mmap-sharded peak "
-        f"{headline['mmap_sharded_peak_rss_anon_kb'] / 1024:.0f}MB at "
+        f"{headline['memory_cell']}, mmap peak "
+        f"{headline['mmap_peak_rss_anon_kb'] / 1024:.0f}MB at "
         f"{headline['largest_num_contacts']} contacts"
     )
     return 0

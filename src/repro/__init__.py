@@ -60,7 +60,7 @@ from .pubsub import (
     PushProtocol,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "BloomFilter",

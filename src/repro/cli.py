@@ -168,19 +168,8 @@ def _add_filter(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_shards(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards", type=int, default=None,
-        help="split the contact timeline into this many shards "
-             "(bit-identical to serial; passive replay of an mmap dataset "
-             "reduces shards in parallel worker processes)",
-    )
-
-
 def _spec(args, **overrides) -> ExperimentSpec:
     defaults = dict(min_rate_per_s=args.min_rate)
-    if getattr(args, "shards", None):
-        defaults["shards"] = args.shards
     if getattr(args, "filter_spec", None):
         defaults["filter_spec"] = args.filter_spec
     defaults.update(overrides)
@@ -192,8 +181,8 @@ def _cmd_passive(args, trace: ContactTrace) -> int:
 
     The passive engine skips interests and the message workload
     entirely (both would be prohibitive at city scale), so this is the
-    path that takes a 10⁸-contact dataset end to end: the sharded
-    reducer streams mmap windows and merges their partials.
+    path that takes a 10⁸-contact dataset end to end: the vectorised
+    passive replay streams the mmap columns chunk by chunk.
     """
     import time
 
@@ -201,8 +190,7 @@ def _cmd_passive(args, trace: ContactTrace) -> int:
 
     started = time.perf_counter()
     report = Simulation(
-        trace, PassiveProtocol(),
-        rate_bps=BLUETOOTH_EFFECTIVE_BPS, shards=args.shards,
+        trace, PassiveProtocol(), rate_bps=BLUETOOTH_EFFECTIVE_BPS,
     ).run()
     elapsed = time.perf_counter() - started
     busiest = (
@@ -217,7 +205,6 @@ def _cmd_passive(args, trace: ContactTrace) -> int:
         ["channels exhausted", report.channels_exhausted],
         ["nodes seen", len(report.contacts_by_node)],
         ["busiest node contacts", busiest],
-        ["shards", args.shards or 1],
     ]
     print(format_table(["metric", "value"], rows, title="Passive replay"))
     # Timings go below the table: padding the value column to their
@@ -521,7 +508,7 @@ def _cmd_synth(args) -> int:
     ]
     print(format_table(["field", "value"], rows, title="Synthesised dataset"))
     print(f"\nrun it with: python -m repro run --trace dataset:{args.output} "
-          f"--protocol PASSIVE --shards 4")
+          "--protocol PASSIVE")
     return 0
 
 
@@ -718,7 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run)
     run.add_argument("--protocol", default="B-SUB",
                      choices=["PUSH", "B-SUB", "PULL", "SPRAY", "PASSIVE"])
-    _add_shards(run)
     run.add_argument("--ttl-min", type=float, default=600.0)
     run.add_argument("--df", "--df-per-min", type=float, default=None,
                      help="DF per minute (default: derive via Eq. 5)")
@@ -768,7 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="TTL values in minutes")
     _add_filter(sweep_ttl)
     _add_jobs(sweep_ttl)
-    _add_shards(sweep_ttl)
     sweep_ttl.set_defaults(func=_cmd_sweep_ttl)
 
     sweep_df = commands.add_parser("sweep-df", help="Fig. 9 DF sweep")
@@ -777,7 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_df.add_argument("--ttl-min", type=float, default=DF_SWEEP_TTL_MIN)
     _add_filter(sweep_df)
     _add_jobs(sweep_df)
-    _add_shards(sweep_df)
     sweep_df.set_defaults(func=_cmd_sweep_df)
 
     tables = commands.add_parser("tables", help="regenerate Tables I and II")

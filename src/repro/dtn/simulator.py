@@ -19,25 +19,14 @@ outside the loop.  A protocol that opts in with ``passive = True`` (no
 per-contact handler work, no workload, no recorder, no faults) is
 replayed on a fully vectorised accounting path that never materialises
 a :class:`Contact` at all — the two paths produce identical reports.
-
-The passive path additionally decomposes into *mergeable partials*
-(:func:`passive_partial` / :func:`merge_passive_partials`): every
-engine total is either a sum, a max, or a per-node count, so the
-contact timeline can be split into contiguous row windows, each window
-reduced independently (in another process, reading only its slice of
-the mmap), and the partials merged bit-identically to a serial run.
-Active protocols carry protocol state contact-to-contact and therefore
-execute shard windows serially, with chunk boundaries aligned to the
-shard bounds — same results, bounded memory, no parallel speedup.
 """
 
 from __future__ import annotations
 
 import abc
-import os
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -51,50 +40,12 @@ __all__ = [
     "Protocol",
     "Simulation",
     "SimulationReport",
-    "passive_partial",
-    "merge_passive_partials",
-    "split_rows",
 ]
 
-#: Contact rows pulled into Python lists per replay chunk.  Bounds the
-#: transient footprint of the general path to a few tens of MB no
-#: matter how large the trace is.
+#: Contact rows per replay chunk.  Bounds the transient footprint of
+#: both replay paths to a few tens of MB no matter how large the trace
+#: is.
 REPLAY_CHUNK_SIZE = 1 << 18
-
-
-def split_rows(n: int, shards: int) -> List[Tuple[int, int]]:
-    """Split ``[0, n)`` into *shards* contiguous equal-count ranges.
-
-    Rows are time-sorted, so equal row counts are contiguous time
-    windows.  Deterministic pure integer arithmetic; empty ranges are
-    kept so shard indices stay stable.
-    """
-    shards = max(1, int(shards))
-    edges = [i * n // shards for i in range(shards + 1)]
-    return [(edges[i], edges[i + 1]) for i in range(shards)]
-
-
-def replay_chunks(
-    n: int, shards: Optional[int] = None
-) -> List[Tuple[int, int]]:
-    """Chunk ranges for the general replay loop.
-
-    Plain ``REPLAY_CHUNK_SIZE`` windows, additionally cut at shard
-    boundaries when *shards* is given, so a sharded active-protocol run
-    consumes exactly the same row windows a passive sharded run would —
-    the windowed-serial execution mode.
-    """
-    if n <= 0:
-        return []
-    cuts = {0, n}
-    if shards and shards > 1:
-        cuts.update(lo for lo, _ in split_rows(n, shards))
-    ranges: List[Tuple[int, int]] = []
-    edges = sorted(cuts)
-    for lo, hi in zip(edges, edges[1:]):
-        for sub in range(lo, hi, REPLAY_CHUNK_SIZE):
-            ranges.append((sub, min(sub + REPLAY_CHUNK_SIZE, hi)))
-    return ranges
 
 
 class Protocol(abc.ABC):
@@ -170,108 +121,6 @@ class PassiveProtocol(Protocol):
         pass
 
 
-def passive_partial(store, rate_bps: Optional[float]) -> Dict[str, Any]:
-    """Reduce one contact-row window to its passive accounting partial.
-
-    *store* is any contact store (typically a ``row_slice`` view or a
-    shard worker's re-opened mmap slice).  The reduction is chunked so
-    peak memory stays bounded by ``REPLAY_CHUNK_SIZE`` rows regardless
-    of window size.  Every field merges exactly (sums, maxima, per-node
-    counts), so any partition of the timeline recombines to the same
-    result as one global pass — float max is exact and the budget test
-    ``duration * rate / 8 < 1`` is evaluated per row either way.
-    """
-    columns = getattr(store, "columns", None)
-    if columns is not None:
-        starts, durations, a, b = columns()
-    else:  # bare sequence of contacts (defensive; not used by traces)
-        starts = np.array([c.start for c in store], dtype=np.float64)
-        durations = np.array([c.duration for c in store], dtype=np.float64)
-        a = np.array([c.a for c in store], dtype=np.int64)
-        b = np.array([c.b for c in store], dtype=np.int64)
-    n = len(starts)
-    exhausted = 0
-    end_max = -np.inf
-    counts = np.zeros(0, dtype=np.int64)
-    oddball: Dict[int, int] = {}  # negative node ids: bincount can't
-    for lo in range(0, n, REPLAY_CHUNK_SIZE):
-        hi = lo + REPLAY_CHUNK_SIZE
-        d = durations[lo:hi]
-        if rate_bps is not None:
-            # Same expression ContactChannel evaluates per contact:
-            # exhausted() <=> budget - 0 spent < 1 byte.
-            exhausted += int(np.count_nonzero((d * rate_bps) / 8.0 < 1.0))
-        end_max = max(end_max, float(np.max(starts[lo:hi] + d)))
-        ca, cb = a[lo:hi], b[lo:hi]
-        if int(ca.min()) >= 0 and int(cb.min()) >= 0:
-            length = int(max(ca.max(), cb.max())) + 1
-            chunk_counts = np.bincount(ca, minlength=length) + np.bincount(
-                cb, minlength=length
-            )
-            if length > len(counts):
-                counts = np.concatenate(
-                    (counts, np.zeros(length - len(counts), dtype=np.int64))
-                )
-            counts[: len(chunk_counts)] += chunk_counts
-        else:
-            for arr in (ca, cb):
-                nodes, node_counts = np.unique(arr, return_counts=True)
-                for node, count in zip(
-                    nodes.tolist(), node_counts.tolist()
-                ):
-                    oddball[node] = oddball.get(node, 0) + count
-    return {
-        "rows": n,
-        "exhausted": exhausted,
-        "counts": counts,
-        "oddball": oddball,
-        "last_start": float(starts[n - 1]) if n else None,
-        "end_max": end_max,
-    }
-
-
-def merge_passive_partials(partials: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge time-ordered passive partials into one global partial.
-
-    Deterministic: contact counts add, maxima combine, and the global
-    last start is the last non-empty window's (rows are time-sorted
-    across windows).
-    """
-    rows = 0
-    exhausted = 0
-    end_max = -np.inf
-    last_start: Optional[float] = None
-    length = max((len(p["counts"]) for p in partials), default=0)
-    counts = np.zeros(length, dtype=np.int64)
-    oddball: Dict[int, int] = {}
-    for partial in partials:
-        rows += partial["rows"]
-        exhausted += partial["exhausted"]
-        end_max = max(end_max, partial["end_max"])
-        if partial["last_start"] is not None:
-            last_start = partial["last_start"]
-        counts[: len(partial["counts"])] += partial["counts"]
-        for node, count in partial["oddball"].items():
-            oddball[node] = oddball.get(node, 0) + count
-    by_node: Dict[int, int] = {}
-    if oddball:
-        # Mixed/negative ids: fold both maps through one sorted pass so
-        # the result matches a single global np.unique reduction.
-        for node in counts.nonzero()[0].tolist():
-            oddball[node] = oddball.get(node, 0) + int(counts[node])
-        by_node = dict(sorted(oddball.items()))
-    else:
-        nodes = np.flatnonzero(counts)
-        by_node = dict(zip(nodes.tolist(), counts[nodes].tolist()))
-    return {
-        "rows": rows,
-        "exhausted": exhausted,
-        "by_node": by_node,
-        "last_start": last_start,
-        "end_max": end_max,
-    }
-
-
 @dataclass
 class SimulationReport:
     """Engine-level accounting for one run."""
@@ -317,14 +166,6 @@ class Simulation:
         channels via ``make_channel(contact, index, rate_bps)``, and
         degradation tallies via ``accounting``.  ``None`` (the default)
         takes the exact fault-free code path.
-    shards:
-        Split the contact timeline into this many contiguous windows.
-        The passive fast path reduces windows independently (in
-        parallel worker processes when the trace is an mmap dataset and
-        the machine has spare cores) and merges the partials; active
-        protocols execute the same windows serially with state carried
-        across boundaries.  Either way the report is bit-identical to
-        an unsharded run.  ``None``/``1`` disables sharding.
     """
 
     def __init__(
@@ -335,7 +176,6 @@ class Simulation:
         rate_bps: Optional[float] = BLUETOOTH_EFFECTIVE_BPS,
         recorder=NULL_RECORDER,
         faults=None,
-        shards: Optional[int] = None,
     ):
         self.trace = trace
         self.protocol = protocol
@@ -345,9 +185,6 @@ class Simulation:
         self.rate_bps = rate_bps
         self.recorder = recorder
         self.faults = faults
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
         self.report = SimulationReport()
         self._ran = False
 
@@ -377,55 +214,66 @@ class Simulation:
 
         No handler can transfer bytes, no workload or fault plan
         perturbs the timeline, and no recorder observes it — so the
-        report reduces to closed-form column arithmetic: the timeline
-        is split into ``shards`` row windows (one, when unsharded),
-        each reduced by :func:`passive_partial`, and the partials
-        merged.  Produces a report identical to :meth:`_run_general`
-        (pinned by an equivalence test) for any shard count.
+        report reduces to column arithmetic, one ``REPLAY_CHUNK_SIZE``
+        chunk at a time so an mmap trace never materialises a whole
+        column.  Produces a report identical to :meth:`_run_general`
+        (pinned by an equivalence test).
         """
         report = self.report
         trace = self.trace
-        store = trace.contacts
-        rate = self.rate_bps
-        shards = self.shards or 1
-        if shards > 1 and hasattr(store, "row_slice"):
-            partials = self._passive_partials(store, shards)
+        rate_bps = self.rate_bps
+        starts, durations, a, b = trace.contacts.columns()
+        n = len(starts)
+        exhausted = 0
+        end_max = -np.inf
+        counts = np.zeros(0, dtype=np.int64)
+        oddball: Dict[int, int] = {}  # negative node ids: bincount can't
+        for lo in range(0, n, REPLAY_CHUNK_SIZE):
+            hi = lo + REPLAY_CHUNK_SIZE
+            d = durations[lo:hi]
+            if rate_bps is not None:
+                # Same expression ContactChannel evaluates per contact:
+                # exhausted() <=> budget - 0 spent < 1 byte.
+                exhausted += int(np.count_nonzero((d * rate_bps) / 8.0 < 1.0))
+            end_max = max(end_max, float(np.max(starts[lo:hi] + d)))
+            ca, cb = a[lo:hi], b[lo:hi]
+            if int(ca.min()) >= 0 and int(cb.min()) >= 0:
+                length = int(max(ca.max(), cb.max())) + 1
+                chunk_counts = np.bincount(ca, minlength=length) + np.bincount(
+                    cb, minlength=length
+                )
+                if length > len(counts):
+                    counts = np.concatenate(
+                        (counts, np.zeros(length - len(counts), dtype=np.int64))
+                    )
+                counts[: len(chunk_counts)] += chunk_counts
+            else:
+                for arr in (ca, cb):
+                    nodes, node_counts = np.unique(arr, return_counts=True)
+                    for node, count in zip(
+                        nodes.tolist(), node_counts.tolist()
+                    ):
+                        oddball[node] = oddball.get(node, 0) + count
+        if oddball:
+            # Mixed/negative ids: fold the bincount counts into the map
+            # and sort once, matching one global np.unique reduction.
+            for node in counts.nonzero()[0].tolist():
+                oddball[node] = oddball.get(node, 0) + int(counts[node])
+            by_node = dict(sorted(oddball.items()))
         else:
-            partials = [passive_partial(store, rate)]
-        merged = merge_passive_partials(partials)
-        report.num_contacts = merged["rows"]
-        report.channels_exhausted = merged["exhausted"]
-        report.contacts_by_node.update(merged["by_node"])
-        if merged["rows"]:
-            now = max(0.0, merged["last_start"])
-            end_time = max(now, merged["end_max"])
+            nodes = np.flatnonzero(counts)
+            by_node = dict(zip(nodes.tolist(), counts[nodes].tolist()))
+        report.num_contacts = n
+        report.channels_exhausted = exhausted
+        report.contacts_by_node.update(by_node)
+        if n:
+            now = max(0.0, float(starts[n - 1]))
+            end_time = max(now, end_max)
         else:
-            now = 0.0
-            end_time = max(now, trace.end_time)
+            end_time = max(0.0, trace.end_time)
         self.protocol.finish(end_time)
         report.end_time = end_time
         return report
-
-    def _passive_partials(self, store, shards: int) -> List[Dict[str, Any]]:
-        """Per-window passive partials, fanned out to workers if viable.
-
-        Worker processes re-open the dataset from ``store.source`` and
-        read only their row range, so the fan-out never pickles contact
-        data.  When the store has no re-openable source (in-memory
-        columnar, anonymous spill, sliced view) or the machine has a
-        single core, the same windows are reduced in-process — the
-        merge is identical either way.
-        """
-        bounds = split_rows(len(store), shards)
-        source = getattr(store, "source", None)
-        if source is not None and (os.cpu_count() or 1) > 1 and shards > 1:
-            from ..experiments.parallel import run_passive_shards
-
-            return run_passive_shards(source, bounds, self.rate_bps)
-        return [
-            passive_partial(store.row_slice(lo, hi), self.rate_bps)
-            for lo, hi in bounds
-        ]
 
     def _run_general(self) -> SimulationReport:
         protocol = self.protocol
@@ -453,17 +301,15 @@ class Simulation:
         # objects are built one at a time, transiently.  Chunking
         # bounds peak memory on out-of-core traces; the event order is
         # exactly that of one global merge loop because chunks are
-        # consecutive row ranges of the time-sorted trace.  When
-        # ``shards`` is set, chunk edges are additionally cut at the
-        # shard bounds (windowed-serial execution — identical results).
+        # consecutive row ranges of the time-sorted trace.
         if getattr(store, "backend", "object") == "object":
             contact_list = list(store)
             columns = None
-            chunk_ranges = replay_chunks(len(contact_list), self.shards)
+            num_contacts = len(contact_list)
         else:
             contact_list = None
             columns = store.columns()
-            chunk_ranges = replay_chunks(len(columns[0]), self.shards)
+            num_contacts = len(columns[0])
         num_events = len(events)
 
         num_messages_created = 0
@@ -474,7 +320,8 @@ class Simulation:
 
         mi = 0
         now = 0.0
-        for lo, hi in chunk_ranges:
+        for lo in range(0, num_contacts, REPLAY_CHUNK_SIZE):
+            hi = lo + REPLAY_CHUNK_SIZE
             if columns is not None:
                 c_start = columns[0][lo:hi].tolist()
                 c_duration = columns[1][lo:hi].tolist()

@@ -90,11 +90,6 @@ class ExperimentSpec:
     #: Fault-injection model (:mod:`repro.faults`).  ``None`` — or a
     #: spec with every rate at zero — takes the exact fault-free path.
     faults: Optional[FaultSpec] = None
-    #: Contact-timeline shard count for the simulator (``None``/1 —
-    #: unsharded).  Sharding is bit-deterministic: the passive path
-    #: merges per-window partials (in parallel when the trace is an
-    #: mmap dataset), active protocols replay the windows serially.
-    shards: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.protocol not in ALL_PROTOCOLS:
@@ -123,6 +118,3 @@ class ExperimentSpec:
 
     def with_faults(self, faults: Optional[FaultSpec]) -> "ExperimentSpec":
         return replace(self, faults=faults)
-
-    def with_shards(self, shards: Optional[int]) -> "ExperimentSpec":
-        return replace(self, shards=shards)

@@ -215,7 +215,7 @@ def run(
             plan = FaultPlan(spec.faults, trace, recorder=obs.tracer)
         simulation = Simulation(
             trace, protocol, events, rate_bps=spec.rate_bps,
-            recorder=obs.tracer, faults=plan, shards=spec.shards,
+            recorder=obs.tracer, faults=plan,
         )
 
     with obs.phase("simulate"):

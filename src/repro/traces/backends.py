@@ -20,9 +20,7 @@ provides the *storage* behind it through a seam that mirrors
   of resident arrays.  The operating system pages contact data in on
   demand and may drop clean pages under pressure, so a trace far
   larger than RAM replays in bounded memory.  Time slices stay
-  zero-copy (they are views into the same mapping), and a store opened
-  from a dataset directory remembers its ``source`` path so shard
-  workers in other processes can re-open just their slice.
+  zero-copy (they are views into the same mapping).
 
 All backends are **observationally identical**: they hold the same
 contacts in the same order with the same IEEE-754 start/duration
@@ -219,13 +217,6 @@ class ObjectContactStore:
             [c for c in self._contacts if c.start < horizon]
         )
 
-    def row_slice(self, lo: int, hi: int) -> "ObjectContactStore":
-        """Rows [lo, hi) (clamped) — the shard-window primitive."""
-        n = len(self._contacts)
-        lo = max(0, min(int(lo), n))
-        hi = max(lo, min(int(hi), n))
-        return ObjectContactStore(self._contacts[lo:hi])
-
     def shifted(self, offset: float) -> "ObjectContactStore":
         from .model import Contact
 
@@ -276,13 +267,10 @@ class ColumnarContactStore:
     Columns given as ``np.memmap`` (as :meth:`open` does) make a
     mapped store, ``backend == "mmap"``: the resident set is whatever
     the OS keeps paged in, not the trace size, and zero-copy views stay
-    mapped.  ``source`` records the dataset directory a store was
-    opened from (``None`` for in-memory columns and anonymous spills
-    whose files may be gone), which lets shard workers re-open just
-    their row range.
+    mapped.
     """
 
-    __slots__ = ("start", "duration", "a", "b", "backend", "source", "__weakref__")
+    __slots__ = ("start", "duration", "a", "b", "backend", "__weakref__")
 
     def __init__(
         self,
@@ -290,10 +278,8 @@ class ColumnarContactStore:
         duration: np.ndarray,
         a: np.ndarray,
         b: np.ndarray,
-        source: Optional[str] = None,
     ):
         self.backend = "mmap" if isinstance(start, np.memmap) else "columnar"
-        self.source = source
         self.start, self.duration, self.a, self.b = _as_columns(
             start, duration, a, b
         )
@@ -303,13 +289,8 @@ class ColumnarContactStore:
             raise ValueError("trace columns must have equal lengths")
 
     @classmethod
-    def open(
-        cls,
-        path: Union[str, Path],
-        lo: int = 0,
-        hi: Optional[int] = None,
-    ) -> "ColumnarContactStore":
-        """Memory-map the column files under *path*, optionally a row range.
+    def open(cls, path: Union[str, Path]) -> "ColumnarContactStore":
+        """Memory-map the column files under *path*.
 
         The mapping is read-only; opening costs four small reads (the
         ``.npy`` headers), never the trace size.
@@ -330,10 +311,7 @@ class ColumnarContactStore:
                     f"got {column.dtype} with shape {column.shape}"
                 )
             columns.append(column)
-        store = cls(*columns, source=str(path))
-        if lo or hi is not None:
-            store = store.row_slice(lo, len(store) if hi is None else hi)
-        return store
+        return cls(*columns)
 
     @classmethod
     def from_contacts(cls, contacts: List) -> "ColumnarContactStore":
@@ -430,10 +408,6 @@ class ColumnarContactStore:
         clone.a = self.a[lo:hi]
         clone.b = self.b[lo:hi]
         clone.backend = self.backend
-        # ``source`` promises "re-opening this path yields these exact
-        # rows" (shard workers rely on it); only a full-range view can
-        # keep that promise.
-        clone.source = self.source if (lo, hi) == (0, len(self)) else None
         return clone
 
     def time_slice(self, start: float, end: float) -> "ColumnarContactStore":
@@ -445,13 +419,6 @@ class ColumnarContactStore:
     def upto(self, horizon: float) -> "ColumnarContactStore":
         hi = int(np.searchsorted(self.start, horizon, side="left"))
         return self._view(0, hi)
-
-    def row_slice(self, lo: int, hi: int) -> "ColumnarContactStore":
-        """Zero-copy view of rows [lo, hi) — the shard-window primitive."""
-        n = len(self.start)
-        lo = max(0, min(int(lo), n))
-        hi = max(lo, min(int(hi), n))
-        return self._view(lo, hi)
 
     def shifted(self, offset: float) -> "ColumnarContactStore":
         # Shifting materialises a new start column, so a mapped store
@@ -543,7 +510,6 @@ def spill_columns_to_mmap(
         del mapped
     store = ColumnarContactStore.open(spill_dir)
     if not persistent:
-        store.source = None  # the files are transient; not re-openable
         _SPILL_DIRS.add(spill_dir)
         weakref.finalize(store, _release_spill_dir, spill_dir)
     return store

@@ -373,19 +373,16 @@ def open_trace_dataset(
     path: Union[str, Path],
     backend: Optional[str] = "mmap",
     name: Optional[str] = None,
-    lo: int = 0,
-    hi: Optional[int] = None,
 ) -> ContactTrace:
     """Open a trace dataset directory as a :class:`ContactTrace`.
 
     With the default ``mmap`` backend this is O(1) in memory and time:
     the columns are memory-mapped, not read.  ``backend="columnar"``
-    or ``"object"`` materialises the (sliced) columns in RAM instead.
-    ``lo``/``hi`` select a row range — the shard-worker entry point.
+    or ``"object"`` materialises the columns in RAM instead.
     """
     path = Path(path)
     meta = _read_dataset_meta(path)
-    store = ColumnarContactStore.open(path, lo=lo, hi=hi)
+    store = ColumnarContactStore.open(path)
     backend = resolve_trace_backend(backend)
     if backend == "columnar":
         store = store.materialised()

@@ -39,24 +39,6 @@ class TestResolveJobs:
         assert resolve_jobs(0) == cpus
         assert resolve_jobs(-1) == cpus
 
-    def test_unsharded_never_warns(self, recwarn):
-        resolve_jobs(64, shards=1)
-        assert not [w for w in recwarn if w.category is RuntimeWarning]
-
-    def test_sharded_clamps_to_cpu_budget(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        with pytest.warns(RuntimeWarning, match="clamping jobs to 2"):
-            assert resolve_jobs(8, shards=4) == 2
-
-    def test_sharded_within_budget_passes_through(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert resolve_jobs(2, shards=4) == 2
-
-    def test_sharded_never_clamps_below_one(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        with pytest.warns(RuntimeWarning):
-            assert resolve_jobs(4, shards=4) == 1
-
 
 @pytest.fixture(scope="module")
 def small_trace():

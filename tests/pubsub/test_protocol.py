@@ -61,6 +61,39 @@ class TestInterestPropagation:
         protocol, _ = build(interests, brokers=[1], trace=trace)
         assert protocol.states[1].relay.min_counter("k") == 150.0
 
+    @pytest.mark.parametrize(
+        "df_per_min, gap_s, meetings, expected",
+        [
+            (2.0, 600.0, 6, 200.0),
+            (0.5, 420.0, 9, 422.0),
+            (2.0, 1500.0, 5, 50.0),
+            (2.0, 3600.0, 5, 50.0),
+            (10.0, 180.0, 7, 170.0),
+        ],
+    )
+    def test_reinforcement_against_decay_closed_form(
+        self, df_per_min, gap_s, meetings, expected
+    ):
+        """The test above with decay (DF > 0): a consumer meets its
+        broker n times, Δ apart.  Each A-merge adds C = 50 and each gap
+        decays DF·Δ, so the relay counter is n·C − (n−1)·DF·Δ while
+        DF·Δ < C, and C once a gap decays the whole insertion away."""
+        insertion = 50.0
+        loss = df_per_min * gap_s / 60.0
+        closed_form = (
+            meetings * insertion - (meetings - 1) * loss
+            if loss < insertion else insertion
+        )
+        assert closed_form == expected
+        trace = make_trace(
+            [(100.0 + i * gap_s, 10.0, 0, 1) for i in range(meetings)]
+        )
+        interests = interests_for(2, {0: {"k"}})
+        protocol, _ = build(
+            interests, brokers=[1], trace=trace, df_per_min=df_per_min
+        )
+        assert protocol.states[1].relay.min_counter("k") == expected
+
     def test_plain_user_never_builds_relay_state(self):
         trace = make_trace([(100.0, 10.0, 0, 1)])
         interests = interests_for(2, {0: {"k"}, 1: {"j"}})

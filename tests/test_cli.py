@@ -131,29 +131,12 @@ class TestOutOfCoreCommands:
     def test_passive_run_on_dataset(self, dataset, capsys):
         code = main(
             ["run", "--trace", f"dataset:{dataset}",
-             "--protocol", "PASSIVE", "--shards", "3"]
+             "--protocol", "PASSIVE"]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "contacts replayed" in out
         assert "Passive replay" in out
-
-    def test_passive_sharded_matches_serial(self, dataset, capsys):
-        main(["run", "--trace", f"dataset:{dataset}",
-              "--protocol", "PASSIVE"])
-        serial = capsys.readouterr().out
-        main(["run", "--trace", f"dataset:{dataset}",
-              "--protocol", "PASSIVE", "--shards", "5"])
-        sharded = capsys.readouterr().out
-
-        def facts(text):
-            return [
-                line for line in text.splitlines()
-                if line.startswith(("contacts replayed", "trace end",
-                                    "nodes seen", "busiest"))
-            ]
-
-        assert facts(serial) == facts(sharded)
 
     def test_passive_rejects_observability_flags(self, dataset, tmp_path):
         with pytest.raises(SystemExit, match="--trace-out"):
@@ -165,18 +148,8 @@ class TestOutOfCoreCommands:
         code = main(
             ["run", "--trace", f"dataset:{dataset}",
              "--first-days", "0.5", "--protocol", "PULL",
-             "--ttl-min", "60", "--min-rate", "0.0001", "--shards", "2"]
+             "--ttl-min", "60", "--min-rate", "0.0001"]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "delivery ratio" in out
-
-    def test_sharded_run_matches_serial(self, capsys):
-        base = ["run", "--trace", "haggle", "--scale", "0.01",
-                "--protocol", "B-SUB", "--ttl-min", "120",
-                "--min-rate", "0.0001"]
-        main(base)
-        serial = capsys.readouterr().out
-        main(base + ["--shards", "4"])
-        sharded = capsys.readouterr().out
-        assert serial == sharded

@@ -13,7 +13,7 @@ import repro
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "2.0.0"
+        assert repro.__version__ == "3.0.0"
 
     def test_headline_exports(self):
         for name in (

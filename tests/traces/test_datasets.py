@@ -100,12 +100,6 @@ class TestDatasetRoundTrip:
         assert reopened.nodes == reference.nodes
         assert list(reopened) == list(reference)
 
-    def test_row_window(self, tmp_path, reference):
-        path = tmp_path / "ds"
-        save_trace_dataset(reference, path)
-        window = open_trace_dataset(path, lo=10, hi=25)
-        assert list(window) == list(reference)[10:25]
-
     def test_named_nodes_round_trip(self, tmp_path):
         contacts = [
             Contact.make(start=0.0, duration=1.0, a=4, b=9),

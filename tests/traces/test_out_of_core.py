@@ -1,7 +1,7 @@
 """Bounded-memory guard: a 10M-contact pipeline stays out of RAM.
 
 Generates a ≥10⁷-contact city dataset straight to disk, opens it
-memory-mapped, and replays it sharded — asserting the whole pipeline's
+memory-mapped, and replays it — asserting the whole pipeline's
 *anonymous* memory growth (``RssAnon`` from ``/proc/self/status``,
 which excludes reclaimable file-backed mmap pages) stays under a
 ceiling an in-RAM copy could not meet: the four columnar arrays alone
@@ -9,7 +9,7 @@ would be ``10M × 32 B = 320 MB``.
 
 This is the regression guard for the out-of-core path: any accidental
 materialisation (a stray ``np.array`` copy of a column, an object-list
-fallback, a merge that concatenates shard rows) blows the ceiling.
+fallback, a whole-column temporary) blows the ceiling.
 """
 
 import sys
@@ -57,7 +57,7 @@ def test_ten_million_contacts_in_bounded_memory(tmp_path):
     generated_growth = _rss_anon_bytes() - baseline
 
     reopened = open_trace_dataset(tmp_path / "ds")
-    report = Simulation(reopened, PassiveProtocol(), shards=8).run()
+    report = Simulation(reopened, PassiveProtocol()).run()
     replayed_growth = _rss_anon_bytes() - baseline
 
     assert report.num_contacts == trace.num_contacts

@@ -214,10 +214,3 @@ class TestBoundarySemantics:
     def test_empty_window(self, trace):
         assert list(trace.slice(11.0, 11.0)) == []
         assert list(trace.slice(40.0, 50.0)) == []
-
-    def test_row_slice_clamps(self, trace):
-        store = trace._store
-        assert len(store.row_slice(-5, 99)) == len(store)
-        assert len(store.row_slice(2, 2)) == 0
-        got = [c for c in store.row_slice(1, 3)]
-        assert got == self.CONTACTS[1:3]

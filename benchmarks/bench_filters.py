@@ -1,4 +1,4 @@
-"""BENCH_filters — accuracy / space / speed across the relay-filter zoo.
+"""BENCH_filters — accuracy and space across the relay-filter zoo.
 
 Runs every registered filter backend through the same two seeded
 workloads and records the full matrix to
@@ -20,9 +20,12 @@ The headline assertion is the PR's acceptance bar: at identical filter
 geometry (equal space), the retouched backend must record measurably
 fewer relay-filter false injections than the baseline array TCBF.
 
-Speed is measured separately from the simulations: best-of-N wall time
-of announce / batch-query / wire-encode per backend at the run
-geometry, so the matrix exposes what each backend charges per contact.
+Speed is printed, not recorded: the best-of-N wall time of announce /
+batch-query / wire-encode per backend at the run geometry goes to
+stdout, so the committed matrix holds only seeded outputs and a re-run
+after a behaviour-neutral change leaves it byte-identical.  The
+registry micro-benchmarks in ``bench_tcbf_ops.py`` time announce and
+query per backend too.
 """
 
 import pytest
@@ -93,6 +96,10 @@ def _bench_specs(plan):
     specs = zoo_bench_specs()
     specs["retouched"] = "retouched:" + plan.spec_params()
     return specs
+
+
+#: The operations :func:`_zoo_timings` times, in print order.
+OPS = ("announce_38_keys", "query_batch_2000", "encode_frame")
 
 
 def _zoo_timings(specs) -> dict:
@@ -181,7 +188,6 @@ def test_bench_filters_matrix_json(matrix, retouch_plan):
             "sacrificed_keys": sorted(retouch_plan.sacrificed_keys),
             "neutralised_keys": sorted(retouch_plan.neutralised_keys),
         },
-        "speed_best_seconds": timings,
         "matrix": {
             wl_name: {
                 backend: {
@@ -198,6 +204,10 @@ def test_bench_filters_matrix_json(matrix, retouch_plan):
         },
     }
     emit_json("BENCH_filters", document)
+    # Host timings: shown, never written to the committed document.
+    print(f"\n{'backend':<10} " + " ".join(f"{op:>17}" for op in OPS))
+    for backend, seconds in timings.items():
+        print(f"{backend:<10} " + " ".join(f"{seconds[op]:>17.3e}" for op in OPS))
 
     lines = []
     for wl_name, cells in matrix.items():

@@ -22,7 +22,7 @@ The conformance harness (``tests/core/test_filter_contract.py``)
 parametrizes over :func:`registered_backends`, so registering a new
 backend here automatically subjects it to the full contract suite, the
 registry-driven micro-benchmarks, and the ``BENCH_filters.json``
-accuracy/space/speed matrix — adding filter #6 is a one-file diff plus
+accuracy/space matrix — adding filter #6 is a one-file diff plus
 one registry entry.
 
 The zoo also defines a tagged wire envelope (:func:`encode_filter` /

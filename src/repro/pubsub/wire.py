@@ -90,6 +90,7 @@ FRAME_SUBSCRIBE = 0x20
 _FRAME_HEADER = struct.Struct("<BI")  # type, body length
 _HELLO_BODY = struct.Struct("<IBId")  # node id, broker flag, degree, time
 _MESSAGE_HEADER = struct.Struct("<QIddBH")  # id, source, created, ttl, #keys, payload len
+_BUNDLE_HEADER = struct.Struct("<BIH")  # frame header + message count
 
 
 @dataclass(frozen=True)
@@ -250,21 +251,30 @@ def encode_message(message: Message, payload: Optional[bytes] = None) -> bytes:
             f"payload is {len(payload)} bytes; message declares "
             f"{message.size_bytes}"
         )
-    keys = [k.encode("utf-8") for k in sorted(message.keys)]
+    keys = message.keys
     if len(keys) > 255:
         raise ValueError("at most 255 keys per message on the wire")
-    if any(len(k) > 255 for k in keys):
-        raise ValueError("message keys are at most 255 UTF-8 bytes on the wire")
-    header = _MESSAGE_HEADER.pack(
-        message.id,
-        message.source,
-        message.created_at,
-        message.ttl_s,
-        len(keys),
-        message.size_bytes,
-    )
-    key_block = b"".join(bytes((len(k),)) + k for k in keys)
-    return header + key_block + payload
+    parts = [
+        _MESSAGE_HEADER.pack(
+            message.id,
+            message.source,
+            message.created_at,
+            message.ttl_s,
+            len(keys),
+            message.size_bytes,
+        )
+    ]
+    # Keys go out sorted by code point; a lone key needs no sort.
+    for key in sorted(keys) if len(keys) > 1 else keys:
+        raw = key.encode("utf-8")
+        if len(raw) > 255:
+            raise ValueError(
+                "message keys are at most 255 UTF-8 bytes on the wire"
+            )
+        parts.append(bytes((len(raw),)))
+        parts.append(raw)
+    parts.append(payload)
+    return b"".join(parts)
 
 
 def decode_message(data: bytes, offset: int = 0) -> Tuple[Message, bytes, int]:
@@ -311,13 +321,11 @@ def encode_frame(frame: Frame) -> bytes:
     """Serialise one frame (type + length + body)."""
     if isinstance(frame, MessageBundle):
         if frame._wire is None:
-            parts = [len(frame.messages).to_bytes(2, "little")]
-            parts.extend(
-                encode_message(m, p) for m, p in zip(frame.messages, frame.payloads)
+            body = b"".join(map(encode_message, frame.messages, frame.payloads))
+            header = _BUNDLE_HEADER.pack(
+                FRAME_MESSAGE_BUNDLE, 2 + len(body), len(frame.messages)
             )
-            object.__setattr__(
-                frame, "_wire", _frame(FRAME_MESSAGE_BUNDLE, b"".join(parts))
-            )
+            object.__setattr__(frame, "_wire", header + body)
         return frame._wire
     if isinstance(frame, Hello):
         body = _HELLO_BODY.pack(

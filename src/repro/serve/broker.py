@@ -13,6 +13,10 @@ no protocol logic at all, only plumbing:
   reads and only ever yields whole frames.  EOF while the decoder is
   mid-frame is counted as a mid-frame disconnect (the peer died during
   a transfer).
+* **Sends go out once per read.**  The frames of one read are handled
+  in order, and what they send is written after the read (or before a
+  forced close): one ``write()`` and one ``drain()`` per recipient, so
+  a burst of publishes costs no more syscalls than a single one.
 * **A hostile peer cannot crash a session loop.**  Oversized declared
   lengths, unknown type bytes, and malformed bodies all surface as a
   fatal decode error: the session is counted and closed, the broker
@@ -116,8 +120,10 @@ def http_response(
         f"Connection: close\r\n\r\n"
     ).encode("ascii") + body
 
-#: Socket read size.  Large enough that a maximum-rate session rarely
-#: needs two syscalls per frame batch, small enough to share fairly.
+#: Socket read size, and so the send batch: whatever one read carries
+#: goes out as one write per recipient.  Large enough that a
+#: maximum-rate session rarely needs two syscalls per frame batch,
+#: small enough to share fairly.
 _READ_CHUNK = 1 << 16
 
 #: Listen backlog.  The default (100) stalls mass connection ramps —
@@ -341,7 +347,16 @@ class BrokerServer:
         reader: asyncio.StreamReader,
         decoder: StreamDecoder,
     ) -> str:
-        """Read/decode/dispatch until the session ends; returns why."""
+        """Read/decode/dispatch until the session ends; returns why.
+
+        Each decoded frame goes to the core on its own, in order, but
+        the sends it asks for wait in one pending map for the whole
+        read, which is then flushed once: one ``write()`` and one
+        ``drain()`` per recipient per read, not per frame.  A read that
+        ends the session (a protocol error, or a fatal decode error
+        after good frames) still flushes what its earlier frames sent.
+        """
+        pending: Dict[int, List[bytes]] = {}
         while True:
             try:
                 chunk = await asyncio.wait_for(
@@ -358,63 +373,86 @@ class BrokerServer:
                     return "midframe_eof"
                 return "eof"
             result = decoder.feed(chunk, time=self.core.clock())
+            ended = None
             for frame in result.frames:
                 try:
                     handled = self.core.handle_frame(session_id, frame)
                 except ProtocolError:
                     self.registry.counter("serve_protocol_errors_total").inc()
-                    return "protocol_error"
-                await self._apply(handled)
+                    ended = "protocol_error"
+                    break
+                await self._apply(handled, pending)
+            await self._flush(pending)
+            if ended is not None:
+                return ended
             if result.error is not None:
                 self.core.handle_decode_error(session_id, result.error)
                 return "decode_error"
 
-    async def _apply(self, handled) -> None:
+    async def _apply(
+        self, handled, pending: Dict[int, List[bytes]]
+    ) -> None:
         """Carry out a HandleResult: sends first, then forced closes.
 
-        Outbound frames are coalesced per target session — one
-        ``write()`` of the joined encodings and one ``drain()`` per
-        writer, instead of a write+drain syscall pair per frame.  A
-        wide fan-out (one publish, hundreds of recipients) is the
-        broker's hottest path, and the per-frame drain was most of it.
+        Sends are encoded into *pending* (target session -> encodings,
+        in order) for the caller's next :meth:`_flush`; a forced close
+        flushes first, so every send handled before it still reaches
+        its target before the target is closed.  Peer casts go to the
+        fleet mesh at once.
         """
-        if handled.outbound:
-            batches: Dict[int, List[bytes]] = {}
-            for target, frame in handled.outbound:
-                batches.setdefault(target, []).append(encode_frame(frame))
-            for target, encoded in batches.items():
-                await self._send_batch(target, encoded)
-        for target, reason in handled.close:
-            writer = self._writers.get(target)
-            if writer is not None:
-                # The target's own session loop sees EOF and accounts
-                # the disconnect; superseded sessions must not keep the
-                # node's delivery route.
-                self.core.disconnect(target, reason=reason)
-                self._writers.pop(target, None)
-                writer.close()
+        for target, frame in handled.outbound:
+            pending.setdefault(target, []).append(encode_frame(frame))
+        if handled.close:
+            await self._flush(pending)
+            for target, reason in handled.close:
+                writer = self._writers.get(target)
+                if writer is not None:
+                    # The target's own session loop sees EOF and
+                    # accounts the disconnect; superseded sessions must
+                    # not keep the node's delivery route.
+                    self.core.disconnect(target, reason=reason)
+                    self._writers.pop(target, None)
+                    writer.close()
         if handled.peer_casts and self._peer_send is not None:
             for op in handled.peer_casts:
                 self._peer_send(op)
 
-    async def _send_batch(
-        self, session_id: int, encoded: List[bytes]
-    ) -> None:
-        writer = self._writers.get(session_id)
-        if writer is None or writer.is_closing():
-            self.registry.counter("serve_send_drops_total").inc(len(encoded))
-            return
-        try:
-            writer.write(b"".join(encoded) if len(encoded) > 1 else encoded[0])
-            await writer.drain()
-            self.registry.counter("serve_frames_out_total").inc(len(encoded))
-        except ConnectionError:
-            self.registry.counter("serve_send_drops_total").inc(len(encoded))
+    async def _flush(self, pending: Dict[int, List[bytes]]) -> None:
+        """Send and empty *pending*: per target session, one ``write()``
+        of the joined encodings, then one ``drain()``.
+
+        This is the broker's one send path.  A wide fan-out (one
+        publish, hundreds of recipients) and a burst of publishes in
+        one read both cost one write+drain per recipient, instead of a
+        syscall pair per frame.  Every target is written to before any
+        drain is awaited, so a target superseded while another one's
+        drain waits already holds its frames (its close flushes them).
+        ``serve_frames_out_total`` and ``serve_send_drops_total``
+        (target gone or closing, or its drain finds the connection
+        lost) still count frames, not writes.
+        """
+        written = []
+        for target, encoded in pending.items():
+            writer = self._writers.get(target)
+            if writer is None or writer.is_closing():
+                self.registry.counter("serve_send_drops_total").inc(len(encoded))
+                continue
+            writer.write(b"".join(encoded))
+            written.append((writer, len(encoded)))
+        pending.clear()
+        for writer, frames in written:
+            try:
+                await writer.drain()
+                self.registry.counter("serve_frames_out_total").inc(frames)
+            except ConnectionError:
+                self.registry.counter("serve_send_drops_total").inc(frames)
 
     async def apply_peer_op(self, op: dict) -> None:
         """Apply one fleet peer-cast and carry out its effects (the
         worker runtime calls this for every op received on the mesh)."""
-        await self._apply(self.core.apply_peer_op(op))
+        pending: Dict[int, List[bytes]] = {}
+        await self._apply(self.core.apply_peer_op(op), pending)
+        await self._flush(pending)
 
     def _close_session(
         self, session_id: int, reason: str, decoder: StreamDecoder

@@ -2,9 +2,10 @@
 
 import dataclasses
 import pickle
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bloom import BloomFilter
@@ -295,7 +296,38 @@ _bundle_messages = st.lists(
 )
 
 
+def field_by_field(messages, payloads):
+    """A bundle frame laid out by hand: type, body length, message
+    count, then per message the ``<QIddBH`` header, each key (sorted by
+    code point) behind its length byte, and the payload."""
+    body = struct.pack("<H", len(messages))
+    for message, payload in zip(messages, payloads):
+        keys = sorted(message.keys)
+        body += struct.pack(
+            "<QIddBH", message.id, message.source, message.created_at,
+            message.ttl_s, len(keys), len(payload),
+        )
+        for key in keys:
+            raw = key.encode("utf-8")
+            body += struct.pack("<B", len(raw)) + raw
+        body += payload
+    return struct.pack("<BI", 0x14, len(body)) + body
+
+
+def _pinned(*key_sets):
+    """Messages with the given key sets (one per message)."""
+    return [
+        Message(2**40 + i, frozenset(keys), 7 + i, 1.5 * i, 600.0, i + 1)
+        for i, keys in enumerate(key_sets)
+    ]
+
+
 @given(messages=_bundle_messages)
+@example(messages=_pinned(("NewMoon",)))
+@example(messages=_pinned(("zebra", "日本語", "Ämter")))
+@example(messages=_pinned(("b", "a"), ("NewMoon",)))
+@example(messages=_pinned(("é", "e", "ß"), ("x",), ("日本語", "a")))
+@example(messages=_pinned(("k1",), ("β", "α"), ("z", "y", "x"), ("ü",)))
 @settings(max_examples=50)
 def test_property_encoded_bundle_behaves_like_a_fresh_one(messages):
     def make():
@@ -311,5 +343,6 @@ def test_property_encoded_bundle_behaves_like_a_fresh_one(messages):
     assert pickle.dumps(bundle) == pickle.dumps(fresh)
     assert pickle.loads(pickle.dumps(bundle)) == fresh
     assert encode_frame(bundle) == encode_frame(fresh) == blob
+    assert blob == field_by_field(bundle.messages, bundle.payloads)
     (decoded,) = decode_frames(blob, HashFamily(4, 256, seed=1), 50.0)
     assert decoded == bundle

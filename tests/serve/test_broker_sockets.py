@@ -37,6 +37,7 @@ class Client:
         self.decoder = StreamDecoder(server.core.family, 50.0)
         self.reader = None
         self.writer = None
+        self._queued = []
 
     async def connect(self, node_id=None):
         self.reader, self.writer = await asyncio.open_connection(
@@ -57,18 +58,17 @@ class Client:
         await self.writer.drain()
 
     async def recv(self, timeout=5.0):
-        """The next decoded frame (reads until one completes)."""
-        while True:
+        """The next decoded frame (reads until one completes; frames a
+        read completes beyond the first wait for the next call)."""
+        while not self._queued:
             if self.decoder.fatal is not None:
                 raise AssertionError(self.decoder.fatal)
             chunk = await asyncio.wait_for(
                 self.reader.read(4096), timeout=timeout
             )
             assert chunk, "broker closed the connection"
-            result = self.decoder.feed(chunk)
-            if result.frames:
-                self._queued = list(result.frames[1:])
-                return result.frames[0]
+            self._queued.extend(self.decoder.feed(chunk).frames)
+        return self._queued.pop(0)
 
     async def expect_eof(self, timeout=5.0):
         while True:
@@ -202,6 +202,149 @@ class TestWireOverSockets:
                     "serve_decode_error_unknown_frame_type_total"
                 ).value == 1
             finally:
+                await server.stop()
+
+        asyncio.run(main())
+
+
+class TestCoalescedSends:
+    """Sends go out once per recipient per inbound read, not per frame,
+    with each recipient's bytes and order unchanged."""
+
+    def test_a_read_of_publishes_reaches_the_subscriber_in_fewer_writes(
+        self, monkeypatch
+    ):
+        count = 200
+
+        async def main():
+            server = await make_server().start()
+            try:
+                sub = await Client(server).connect(node_id=1)
+                await sub.send(Subscribe(("sports",)))
+                await wait_until(lambda: 1 in server.core.subscriptions)
+                writer = server._writers[server.core.node_sessions[1]]
+                writes = []
+                write = writer.write
+
+                def counted(data):
+                    writes.append(len(data))
+                    write(data)
+
+                monkeypatch.setattr(writer, "write", counted)
+                pub = await Client(server).connect(node_id=2)
+                await pub.send_raw(b"".join(
+                    encode_frame(bundle(
+                        ["sports"], source=2, payload=i.to_bytes(2, "big")
+                    ))
+                    for i in range(count)
+                ))
+                delivered = [await sub.recv() for _ in range(count)]
+                assert [
+                    int.from_bytes(frame.payloads[0], "big")
+                    for frame in delivered
+                ] == list(range(count))
+                assert 1 <= len(writes) < count
+                await sub.close()
+                await pub.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize(
+        "ending, counter",
+        [
+            # A second Hello with another node id: a protocol error.
+            (encode_frame(Hello(8, False, 0, 0.0)),
+             "serve_protocol_errors_total"),
+            # An unknown type byte: a fatal decode error.
+            (b"\xee\x00\x00\x00\x00", "serve_decode_errors_total"),
+        ],
+        ids=["protocol_error", "decode_error"],
+    )
+    def test_sends_of_a_read_that_ends_the_session_still_go_out(
+        self, ending, counter
+    ):
+        async def main():
+            server = await make_server().start()
+            try:
+                sub = await Client(server).connect(node_id=1)
+                await sub.send(Subscribe(("sports",)))
+                await wait_until(lambda: 1 in server.core.subscriptions)
+                frames_out = server.registry.counter("serve_frames_out_total")
+                before = frames_out.value
+                pub = await Client(server).connect()
+                await pub.send_raw(
+                    encode_frame(Hello(7, False, 0, 0.0))
+                    + encode_frame(bundle(["sports"], source=7, payload=b"x"))
+                    + ending
+                )
+                delivered = await sub.recv()
+                assert delivered.payloads == (b"x",)
+                assert (await pub.recv()).is_broker
+                await pub.expect_eof()
+                assert server.registry.counter(counter).value == 1
+                # The publisher's Hello reply and the subscriber's copy.
+                assert frames_out.value == before + 2
+                await pub.close()
+                await sub.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(main())
+
+    def test_recipient_superseded_while_another_drains_still_gets_its_frames(
+        self, monkeypatch
+    ):
+        """One recipient's drain waits (as above its high-water mark)
+        and the other is superseded meanwhile: both were written to
+        before any drain, so both clients decode the publish.  The
+        superseded one's drain then finds its connection lost, so its
+        frame counts as a send drop, not as a frame out."""
+
+        async def main():
+            server = await make_server().start()
+            entered, release = asyncio.Event(), asyncio.Event()
+            try:
+                subs = {}
+                for node in (1, 2):
+                    subs[node] = await Client(server).connect(node_id=node)
+                    await subs[node].send(Subscribe(("sports",)))
+                await wait_until(lambda: len(server.core.subscriptions) == 2)
+                first = []
+                for node in (1, 2):
+                    writer = server._writers[server.core.node_sessions[node]]
+
+                    async def gated(node=node, drain=writer.drain):
+                        if not first:
+                            first.append(node)
+                            entered.set()
+                            await release.wait()
+                        await drain()
+
+                    monkeypatch.setattr(writer, "drain", gated)
+                pub = await Client(server).connect(node_id=3)
+                counter = server.registry.counter
+                out = counter("serve_frames_out_total").value
+                drops = counter("serve_send_drops_total").value
+                await pub.send(bundle(["sports"], source=3, payload=b"goal"))
+                await asyncio.wait_for(entered.wait(), timeout=5.0)
+                slow, other = first[0], 3 - first[0]
+                replacement = await Client(server).connect(node_id=other)
+                assert (await subs[other].recv()).payloads == (b"goal",)
+                await subs[other].expect_eof()
+                release.set()
+                assert (await subs[slow].recv()).payloads == (b"goal",)
+                await wait_until(
+                    lambda: counter("serve_send_drops_total").value > drops
+                )
+                assert counter("serve_send_drops_total").value == drops + 1
+                # The slow recipient's copy and the replacement's Hello.
+                assert counter("serve_frames_out_total").value == out + 2
+                for client in (replacement, pub, *subs.values()):
+                    await client.close()
+            finally:
+                release.set()
                 await server.stop()
 
         asyncio.run(main())

@@ -24,7 +24,7 @@ capped at ``OBJECT_MAX_CONTACTS``.
 Run as a script::
 
     PYTHONPATH=src python benchmarks/bench_scale.py            # default curve
-    PYTHONPATH=src python benchmarks/bench_scale.py --smoke    # CI quick mode
+    PYTHONPATH=src python benchmarks/bench_scale.py --smoke    # CI quick mode (no file unless --out)
     PYTHONPATH=src python benchmarks/bench_scale.py --city     # adds 1M-node / 100M-contact cell
 
 or through pytest (smoke cell only)::
@@ -386,13 +386,16 @@ def main(argv=None) -> int:
         help="append the 1M-node / 100M-contact city cell",
     )
     parser.add_argument(
-        "--out", type=Path, default=RESULTS_PATH,
-        help=f"output JSON path (default: {RESULTS_PATH})",
+        "--out", type=Path, default=None,
+        help=f"output JSON path (default: {RESULTS_PATH}; "
+        "a --smoke run writes no file unless given)",
     )
     args = parser.parse_args(argv)
     if args.child is not None:
         return _child_main(args.child)
-    document = run_benchmark(smoke=args.smoke, city=args.city, out_path=args.out)
+    # A smoke run never overwrites the committed full results.
+    out_path = args.out or (None if args.smoke else RESULTS_PATH)
+    document = run_benchmark(smoke=args.smoke, city=args.city, out_path=out_path)
     if not args.smoke:
         failures = check_thresholds(document)
         for failure in failures:

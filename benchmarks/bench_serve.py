@@ -30,7 +30,7 @@ Two ladders:
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_serve.py            # full
-    PYTHONPATH=src python benchmarks/bench_serve.py --smoke    # CI quick
+    PYTHONPATH=src python benchmarks/bench_serve.py --smoke    # CI quick (no file unless --out)
 
 or through pytest (smoke cell only)::
 
@@ -387,10 +387,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="quick mode: one small cell")
-    parser.add_argument("--out", type=Path, default=RESULTS_PATH,
-                        help=f"output JSON path (default: {RESULTS_PATH})")
+    parser.add_argument("--out", type=Path, default=None,
+                        help=f"output JSON path (default: {RESULTS_PATH}; "
+                        "a --smoke run writes no file unless given)")
     args = parser.parse_args(argv)
-    document = run_benchmark(smoke=args.smoke, out_path=args.out)
+    # A smoke run never overwrites the committed full results.
+    out_path = args.out or (None if args.smoke else RESULTS_PATH)
+    document = run_benchmark(smoke=args.smoke, out_path=out_path)
     failures = check_acceptance(document)
     for failure in failures:
         print(f"ACCEPTANCE FAILURE: {failure}", file=sys.stderr)

@@ -24,7 +24,7 @@ per-cell equivalence check asserts both backends produce the same
 Run as a script::
 
     PYTHONPATH=src python benchmarks/bench_simulator.py           # full curve
-    PYTHONPATH=src python benchmarks/bench_simulator.py --smoke   # CI quick mode
+    PYTHONPATH=src python benchmarks/bench_simulator.py --smoke   # CI quick mode (no file unless --out)
 
 or through pytest (smoke cell only)::
 
@@ -286,11 +286,14 @@ def main(argv=None) -> int:
         help="quick mode: smallest cell only, no threshold enforcement",
     )
     parser.add_argument(
-        "--out", type=Path, default=RESULTS_PATH,
-        help=f"output JSON path (default: {RESULTS_PATH})",
+        "--out", type=Path, default=None,
+        help=f"output JSON path (default: {RESULTS_PATH}; "
+        "a --smoke run writes no file unless given)",
     )
     args = parser.parse_args(argv)
-    document = run_benchmark(smoke=args.smoke, out_path=args.out)
+    # A smoke run never overwrites the committed full results.
+    out_path = args.out or (None if args.smoke else RESULTS_PATH)
+    document = run_benchmark(smoke=args.smoke, out_path=out_path)
     if not args.smoke:
         failures = check_thresholds(document)
         for failure in failures:

@@ -328,7 +328,7 @@ class ArrayCounterStore:
         return int(np.count_nonzero(self._array))
 
     def is_empty(self) -> bool:
-        return not self._array.any()
+        return not np.count_nonzero(self._array)
 
     def copy(self) -> "ArrayCounterStore":
         clone = ArrayCounterStore(self.num_bits, integer=self._integer)

@@ -357,13 +357,19 @@ class TemporalCountingBloomFilter:
         """Preferential queries for many keys as one float vector.
 
         *other* may be any object exposing ``min_counter_batch`` (a
-        TCBF, a :class:`~repro.core.allocation.TCBFCollection`, …).
+        TCBF, a :class:`~repro.core.allocation.TCBFCollection`, …).  A
+        compatible TCBF hashes to the same positions, so the keys are
+        hashed once for both filters.
         """
+        keys = list(keys)
         if isinstance(other, TemporalCountingBloomFilter):
             self._check_compatible(other)
-        keys = list(keys)
-        a = self.min_counter_batch(keys)
-        b = np.asarray(other.min_counter_batch(keys), dtype=np.float64)
+            rows = self.family.positions_batch(keys)
+            a = self._store.min_rows(rows)
+            b = other._store.min_rows(rows)
+        else:
+            a = self.min_counter_batch(keys)
+            b = np.asarray(other.min_counter_batch(keys), dtype=np.float64)
         return np.where(b == 0.0, a, a - b)
 
     # -- conversion / construction ------------------------------------------------

@@ -72,6 +72,14 @@ class KeyedBuffer:
         """Message ids buffered under *key* (snapshot, sorted for determinism)."""
         return tuple(sorted(self._by_key.get(key, ())))
 
+    def buckets(self) -> Iterable[Tuple[str, Set[int]]]:
+        """The live key index: (key, id set) pairs in insertion order.
+
+        No snapshot is taken, so the buffer must not change while the
+        view is walked; callers that remove messages use :meth:`ids_for`.
+        """
+        return self._by_key.items()
+
     def __contains__(self, message_id: int) -> bool:
         return message_id in self.messages
 
@@ -80,6 +88,25 @@ class KeyedBuffer:
 
     def __iter__(self) -> Iterator[Message]:
         return iter(self.messages.values())
+
+
+class GenuineMatches(dict):
+    """Memoised answers of a node's genuine Bloom filter, key -> hit.
+
+    A lookup of a new key queries the filter once and keeps the answer,
+    false positives included.  The genuine filter never changes, so no
+    answer goes stale.
+    """
+
+    __slots__ = ("bloom",)
+
+    def __init__(self, bloom: BloomFilter):
+        super().__init__()
+        self.bloom = bloom
+
+    def __missing__(self, key: str) -> bool:
+        hit = self[key] = self.bloom.query(key)
+        return hit
 
 
 class BsubNodeState:
@@ -133,6 +160,7 @@ class BsubNodeState:
         "interests",
         "genuine",
         "genuine_bloom",
+        "genuine_matches",
         "relay",
         "interest_encoding",
         "copy_limit",
@@ -203,6 +231,7 @@ class BsubNodeState:
         )
         self.genuine.insert_batch(list(interests))
         self.genuine_bloom: BloomFilter = self.genuine.to_bloom()
+        self.genuine_matches = GenuineMatches(self.genuine_bloom)
         self.interest_encoding = interest_encoding
         if interest_encoding == "raw":
             self.relay = ExactInterestRelay(

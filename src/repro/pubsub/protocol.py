@@ -594,25 +594,27 @@ class BsubProtocol(Protocol):
         transmitted — and counted by the metrics as a false delivery.
         Under the raw interest encoding the match is exact and the
         false-positive path disappears entirely.
+
+        Direct delivery never removes anything from the holder's
+        buffers, so it walks their live key indexes (own, then carried,
+        keys in insertion order, ids ascending) rather than snapshots.
         """
         interests = consumer.interests
-        own_keys = list(holder.own.keys())
-        keys = own_keys + list(holder.carried.keys())
-        if not interests or not keys:
+        if not interests:
             return
         if self.config.interest_encoding == "raw":
             match_kind = "exact"
-            hits = [key in interests for key in keys]
+            matches = interests.__contains__
         else:
             match_kind = "bloom"
-            hits = consumer.genuine_bloom.query_batch(keys)
-        split = len(own_keys)
-        for buffer, part in (
-            (holder.own, slice(None, split)),
-            (holder.carried, slice(split, None)),
-        ):
-            for key in [k for k, hit in zip(keys[part], hits[part]) if hit]:
-                for message_id in buffer.ids_for(key):
+            matches = consumer.genuine_matches.__getitem__
+        received = consumer.received
+        for buffer in (holder.own, holder.carried):
+            for key, bucket in buffer.buckets():
+                if not matches(key):
+                    continue
+                # ``has`` also skips ids the consumer buffers itself.
+                for message_id in sorted(bucket - received):
                     if consumer.has(message_id):
                         continue
                     message = buffer.messages[message_id]
@@ -654,7 +656,7 @@ class BsubProtocol(Protocol):
         now: float,
     ) -> None:
         """Push own messages matching the broker's relay filter (ℂ-limited)."""
-        if relay_snapshot.is_empty():
+        if not producer.own or relay_snapshot.is_empty():
             return
         own_keys = list(producer.own.keys())
         hits = relay_snapshot.query_batch(own_keys)
@@ -740,8 +742,8 @@ class BsubProtocol(Protocol):
             carried_keys, sender_relay_snapshot
         )
         ranked_keys: List[Tuple[float, str]] = [
-            (float(preference), key)
-            for preference, key in zip(preferences, carried_keys)
+            (preference, key)
+            for preference, key in zip(preferences.tolist(), carried_keys)
             if preference > 0.0
         ]
         ranked_keys.sort(key=lambda item: (-item[0], item[1]))

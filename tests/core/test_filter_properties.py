@@ -116,23 +116,44 @@ def test_countbf_counters_never_underflow(ops):
     refuse the absent ones (KeyError) instead of driving shared cells
     negative, and after any prefix of the sequence no stored cell value
     may be negative.
+
+    A key that was never inserted can still *look* present (a false
+    positive); the filter cannot tell, so it accepts that delete and
+    takes the counts from the keys sharing its cells.  Those keys are
+    no longer certainly present afterwards.
     """
-    filt = CountBF2D(num_bits=128, num_hashes=3, rows=8, decay_factor=0.0)
+
+    def make():
+        return CountBF2D(num_bits=128, num_hashes=3, rows=8, decay_factor=0.0)
+
+    def cells_of(key):
+        probe = make()
+        probe.insert(key)
+        return set(probe.positions())
+
+    filt = make()
     live = {}  # key -> net insert count we believe is still present
     for op, key in ops:
         if op == "insert":
             filt.insert(key)
             live[key] = live.get(key, 0) + 1
         elif op == "delete":
+            looked_present = filt.query(key)
             try:
                 filt.delete(key)
             except KeyError:
                 # Refused: must only happen when the key *looks* absent,
                 # which implies we hold no net inserts for it.
+                assert not looked_present
                 assert live.get(key, 0) == 0
             else:
+                assert looked_present, f"absent key {key!r} was deleted"
                 if live.get(key, 0) > 0:
                     live[key] -= 1
+                else:
+                    # False-positive delete: drop every key it shared a cell with.
+                    hit = cells_of(key)
+                    live = {k: n for k, n in live.items() if not cells_of(k) & hit}
         else:  # decay
             filt.decay(7.5)
             # Decay weakens everything; our bookkeeping of "certainly

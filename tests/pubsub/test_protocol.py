@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.allocation import TCBFCollection
 from repro.core.backends import BACKEND_ENV_VAR, BACKENDS
 from repro.core.tcbf import TemporalCountingBloomFilter
+from repro.dtn.bandwidth import ContactChannel
 from repro.dtn.events import MessageEvent
 from repro.dtn.simulator import Simulation
 from repro.pubsub.messages import Message
@@ -249,6 +250,154 @@ class TestDirectDelivery:
             interests, brokers=[], trace=trace, messages=[(0.0, 0, "k", 10_000.0)]
         )
         assert metrics.summary().num_deliveries == 1
+
+
+def _reference_deliver_matching(protocol, holder, consumer, channel, now):
+    """Direct delivery as a snapshot walk (the oracle): both buffers'
+    key lists, one batched genuine-filter query, then each matching
+    key's sorted id snapshot with a ``has`` check per id."""
+    interests = consumer.interests
+    own_keys = list(holder.own.keys())
+    keys = own_keys + list(holder.carried.keys())
+    if not interests or not keys:
+        return
+    if protocol.config.interest_encoding == "raw":
+        hits = [key in interests for key in keys]
+    else:
+        hits = consumer.genuine_bloom.query_batch(keys)
+    split = len(own_keys)
+    for buffer, part in (
+        (holder.own, slice(None, split)),
+        (holder.carried, slice(split, None)),
+    ):
+        for key in [k for k, hit in zip(keys[part], hits[part]) if hit]:
+            for message_id in buffer.ids_for(key):
+                if consumer.has(message_id):
+                    continue
+                message = buffer.messages[message_id]
+                if not channel.send(
+                    message.size_bytes,
+                    sender=holder.node_id,
+                    receiver=consumer.node_id,
+                ):
+                    return
+                protocol.metrics.record_forwarding(message)
+                protocol.op_counts["forward_direct"] += 1
+                consumer.mark_received(message.id)
+                if protocol.metrics.record_delivery(
+                    message, consumer.node_id, now
+                ):
+                    protocol.op_counts["deliveries"] += 1
+
+
+class _RecordingChannel(ContactChannel):
+    """A channel of *budget* bytes (None: unbounded) that logs every
+    accepted send as ``(sender, receiver, size)``."""
+
+    def __init__(self, budget):
+        if budget is None:
+            super().__init__(1.0, rate_bps=None)
+        else:
+            super().__init__(float(budget), rate_bps=8.0)
+        self.sent = []
+
+    def send(self, num_bytes, sender=None, receiver=None):
+        accepted = super().send(num_bytes, sender=sender, receiver=receiver)
+        if accepted:
+            self.sent.append((sender, receiver, num_bytes))
+        return accepted
+
+
+# Where one message sits on the holder, and what the consumer already
+# knows of it: nothing (most often, so that several messages are still
+# to send when a budget runs out), received, carried, or in its own
+# buffer without a receipt (``has`` must still skip it).
+_placements = st.tuples(
+    st.sampled_from(["own", "carried"]),
+    st.sampled_from([None, None, None, "received", "carried", "own"]),
+)
+
+
+@given(
+    backend=st.sampled_from(BACKENDS),
+    encoding=st.sampled_from(["tcbf", "raw"]),
+    geometry=st.sampled_from([(16, 2), (256, 4)]),
+    holder_interests=st.frozensets(st.sampled_from(TOPICS), max_size=4),
+    consumer_interests=st.frozensets(
+        st.sampled_from(TOPICS), min_size=1, max_size=6
+    ),
+    messages=st.lists(
+        st.tuples(
+            st.frozensets(st.sampled_from(TOPICS), min_size=1, max_size=3),
+            st.integers(1, 140),
+            _placements,
+        ),
+        min_size=2,
+        max_size=14,
+    ),
+    ids=st.lists(st.integers(0, 10**6), min_size=14, max_size=14, unique=True),
+    # About half a dozen 1-140 byte messages fit in 400 bytes, so most
+    # bounded budgets run out part-way through the walk.
+    budgets=st.lists(
+        st.one_of(st.none(), st.integers(0, 400)), min_size=3, max_size=3
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_direct_delivery_matches_snapshot_walk(
+    backend, encoding, geometry, holder_interests, consumer_interests,
+    messages, ids, budgets,
+):
+    """Direct delivery walks the live key index through memoised
+    genuine-filter matches.  Over both directions of a contact and a
+    repeat contact, with budgets that may run out part-way through
+    either buffer, it sends the same messages in the same order, and
+    leaves the same receipts and tallies, as the snapshot walk."""
+    num_bits, num_hashes = geometry
+    interests = {0: holder_interests, 1: consumer_interests}
+    config = BsubConfig(
+        num_bits=num_bits, num_hashes=num_hashes, interest_encoding=encoding
+    )
+    runs = []
+    with mock.patch.dict(os.environ, {BACKEND_ENV_VAR: backend}):
+        for deliver in (BsubProtocol._deliver_matching, _reference_deliver_matching):
+            metrics = MetricsCollector(interests, "B-SUB")
+            protocol = BsubProtocol(interests, metrics, config)
+            holder = protocol._fresh_state(0, 0.0)
+            consumer = protocol._fresh_state(1, 0.0)
+            for message_id, (keys, size, (where, known)) in zip(ids, messages):
+                message = Message(message_id, keys, 0, 0.0, 1e6, size)
+                metrics.register_message(message)
+                if where == "own":
+                    holder.produce(message)
+                else:
+                    holder.carry(message)
+                if known == "received":
+                    consumer.mark_received(message_id)
+                elif known == "carried":
+                    consumer.carry(message)
+                elif known == "own":
+                    consumer.own.add(message)
+            sends = []
+            for budget, (src, dst) in zip(
+                budgets, [(holder, consumer), (consumer, holder), (holder, consumer)]
+            ):
+                channel = _RecordingChannel(budget)
+                deliver(protocol, src, dst, channel, 10.0)
+                sends.append((channel.sent, channel.refused_transfers))
+            runs.append((
+                sends,
+                sorted(holder.received),
+                sorted(consumer.received),
+                metrics.num_forwardings,
+                [(r.message_id, r.node, r.intended) for r in metrics.deliveries],
+                dict(protocol.op_counts),
+            ))
+            for state in (holder, consumer):
+                if encoding == "raw":
+                    assert state.genuine_matches == {}
+                for key, hit in state.genuine_matches.items():
+                    assert hit == state.genuine_bloom.query(key)
+    assert runs[0] == runs[1]
 
 
 class TestRelayPath:

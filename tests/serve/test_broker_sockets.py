@@ -177,6 +177,7 @@ class TestWireOverSockets:
                 # reject it up front and close only this session.
                 await victim.send_raw(struct.pack("<BI", 0x14, 1 << 30))
                 await victim.expect_eof()
+                await victim.close()
                 registry = server.registry
                 assert registry.counter("serve_decode_errors_total").value == 1
                 assert registry.counter(
@@ -198,6 +199,7 @@ class TestWireOverSockets:
                 victim = await Client(server).connect(node_id=3)
                 await victim.send_raw(b"\xee\x00\x00\x00\x00")
                 await victim.expect_eof()
+                await victim.close()
                 assert server.registry.counter(
                     "serve_decode_error_unknown_frame_type_total"
                 ).value == 1
@@ -429,6 +431,7 @@ class TestBrokerBehaviour:
             try:
                 client = await Client(server).connect(node_id=1)
                 await client.expect_eof(timeout=5.0)
+                await client.close()
                 assert server.registry.counter(
                     "serve_idle_timeouts_total"
                 ).value == 1
